@@ -103,7 +103,6 @@ def _fw_config(args) -> FwConfig:
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON (default)")
     p.add_argument("--csv", action="store_true", help="emit CSV rows")
     p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
     p.add_argument("--no-timings", action="store_true", help="omit wall-clock fields")
@@ -268,9 +267,7 @@ def _csv_text(reports, with_timings: bool) -> str:
 
 
 def _loop_config(args) -> LoopConfig:
-    return LoopConfig(
-        max_rounds=args.max_rounds, lifting=args.lifting, threads=args.threads
-    )
+    return LoopConfig(max_rounds=args.max_rounds, lifting=args.lifting)
 
 
 def _attach_optima(instances, args) -> list:
@@ -422,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[ORDER_DOWN_UP, ORDER_DOWN_ONLY, LIFT_NONE],
             default=ORDER_DOWN_UP,
         )
-        p.add_argument("--threads", type=int, default=1)
         _add_fw_flags(p)
         _add_output_flags(p)
         p.set_defaults(func=func)

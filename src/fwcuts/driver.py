@@ -14,7 +14,6 @@ pairs of inequalities but are never separated.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,15 +40,12 @@ class LoopConfig:
     lifting: str = ORDER_DOWN_UP
     violation_threshold: float = 1e-6
     integrality_tol: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self):
         if self.lifting not in _LIFT_CHOICES:
             raise ValueError(f"lifting must be one of {_LIFT_CHOICES}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -78,6 +74,8 @@ class RootRunReport:
     separation_calls: int
     stop_reason_counts: dict[str, int]
     bound_history: tuple[float, ...]
+    # lp_s, separation_s (reduction, separation and lifting), lifting_s (the
+    # part of separation_s spent in lift_cut) and total_s, in seconds
     timings: dict[str, float]
     cut_pool: tuple[CutRecord, ...]
     final_x: np.ndarray
@@ -126,11 +124,12 @@ class _CutPool:
         self.records.append(record)
 
 
-def _separate_one_row(instance, row, x, fw_config, loop_config):
+def _separate_one_row(instance, row, x, fw_config, loop_config, timings):
     """Reduce one knapsack row against x and try to cut x off.
 
     Returns (attempted, stop_reason, candidate) where candidate is
     (alpha_full, beta, source) for a cut valid for this row, or None.
+    Time spent lifting is added to timings["lifting_s"].
     """
     # keep heavy fractional items in the subproblem: forcing them to zero
     # would silently drop the very variables a cut could charge
@@ -156,7 +155,9 @@ def _separate_one_row(instance, row, x, fw_config, loop_config):
         alpha_full = np.zeros(instance.n)
         alpha_full[list(sub.index_map)] = reduced.alpha
         return True, reason, (alpha_full, float(reduced.beta), reduced.source)
+    t0 = time.perf_counter()
     lifted = lift_cut(reduced, sub, order_policy=loop_config.lifting)
+    timings["lifting_s"] += time.perf_counter() - t0
     return True, reason, (lifted.alpha_full, float(lifted.beta_full), "lifted")
 
 
@@ -196,24 +197,14 @@ def root_cut_loop(
         rounds = round_no
 
         t0 = time.perf_counter()
-        row_indices = list(range(instance.m))
-        if loop_config.threads > 1:
-            with ThreadPoolExecutor(max_workers=loop_config.threads) as pool_exec:
-                results = list(
-                    pool_exec.map(
-                        lambda r: _separate_one_row(instance, r, x, fw_config, loop_config),
-                        row_indices,
-                    )
-                )
-        else:
-            results = [
-                _separate_one_row(instance, r, x, fw_config, loop_config)
-                for r in row_indices
-            ]
+        results = [
+            _separate_one_row(instance, row, x, fw_config, loop_config, timings)
+            for row in range(instance.m)
+        ]
         timings["separation_s"] += time.perf_counter() - t0
 
         new_records = []
-        for row, (attempted, reason, candidate) in zip(row_indices, results):
+        for row, (attempted, reason, candidate) in enumerate(results):
             if not attempted:
                 continue
             separation_calls += 1

@@ -185,6 +185,13 @@ def knapsack_dp_max(sub: KnapsackSubproblem, profits) -> tuple[float, np.ndarray
     Profits are real-valued; the table is indexed by the integer capacity.
     Items with nonpositive profit are never taken (tie-break: prefer not
     taking), so they can be skipped up front without losing exactness.
+
+    Storage: one value row `dp` of C + 1 floats, updated in place item by
+    item with `np.maximum`, and a boolean matrix `take` (one row per item
+    with positive profit, C + 1 columns) written by `np.greater`: an item is
+    taken at a capacity only when that strictly improves the value.  The
+    solution is read back from `take`, last item first.  O(k * C) time and
+    O(k * C) bytes, all of it per-call scratch.
     """
     profits = np.asarray(profits, dtype=np.float64)
     if profits.shape != (sub.size,):
@@ -208,9 +215,8 @@ def knapsack_dp_max(sub: KnapsackSubproblem, profits) -> tuple[float, np.ndarray
     for row, j in enumerate(active):
         wj = int(w[j])
         cand = dp[: cap + 1 - wj] + profits[j]
-        better = cand > dp[wj:]
-        dp[wj:] = np.where(better, cand, dp[wj:])
-        take[row, wj:] = better
+        np.greater(cand, dp[wj:], out=take[row, wj:])
+        np.maximum(dp[wj:], cand, out=dp[wj:])
     c = cap
     for row in range(len(active) - 1, -1, -1):
         if take[row, c]:

@@ -45,6 +45,7 @@ STEP_AGNOSTIC = "agnostic"
 
 _DROP_WEIGHT = 1e-12
 _WEIGHT_DRIFT_ERROR = 1e-6
+_INITIAL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -162,70 +163,96 @@ class ActiveSet:
 
     Vertices are pairwise distinct; weights live on the unit simplex and are
     pruned below 1e-12.  Argmin/argmax ties go to the lowest index.
+
+    Storage: vertex i is row i of one preallocated float64 matrix and its
+    weight is entry i of a matching array, for i < len(self); the rows past
+    that are unused.  The matrix starts with 16 rows and doubles when full.
+    Pruning compacts the kept rows in order.  A dict from each vertex's
+    bytes to its row makes merging a vertex that is already present O(k).
+    `vertex(i)` returns a read-only view into the matrix, which is valid only
+    until the next `fw_update` or `away_update`; `entries` returns copies.
     """
 
     def __init__(self, vertex: np.ndarray):
         v = np.asarray(vertex, dtype=np.float64)
-        self._weights: list[float] = [1.0]
-        self._vertices: list[np.ndarray] = [v]
+        self._size = 1
+        self._weights = np.empty(_INITIAL_ROWS)
+        self._weights[0] = 1.0
+        self._vertices = np.empty((_INITIAL_ROWS, v.shape[0]))
+        self._vertices[0] = v
         self._index: dict[bytes, int] = {v.tobytes(): 0}
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return self._size
 
     @property
     def entries(self) -> list[tuple[float, np.ndarray]]:
-        return [(w, v.copy()) for w, v in zip(self._weights, self._vertices)]
+        s = self._size
+        return [(float(w), v.copy()) for w, v in zip(self._weights[:s], self._vertices[:s])]
 
     @property
     def iterate(self) -> np.ndarray:
-        mat = np.stack(self._vertices)
-        return np.asarray(self._weights) @ mat
+        s = self._size
+        return self._weights[:s] @ self._vertices[:s]
 
     def vertex(self, i: int) -> np.ndarray:
-        return self._vertices[i]
+        """Read-only view of vertex i, valid until the next update."""
+        view = self._vertices[: self._size][i]
+        view.flags.writeable = False
+        return view
 
     def weight(self, i: int) -> float:
-        return self._weights[i]
+        return float(self._weights[: self._size][i])
 
     def extremes(self, gradient: np.ndarray) -> tuple[int, int]:
         """(argmin, argmax) of <gradient, v> over the set, lowest index on ties."""
-        dots = np.stack(self._vertices) @ gradient
-        return int(np.argmin(dots)), int(np.argmax(dots))
+        dots = self._vertices[: self._size] @ gradient
+        return int(dots.argmin()), int(dots.argmax())
 
     def fw_update(self, gamma: float, vertex: np.ndarray) -> None:
         """y <- y + gamma * (vertex - y): scale all weights, merge the vertex in."""
         vertex = np.asarray(vertex, dtype=np.float64)
-        self._weights = [w * (1.0 - gamma) for w in self._weights]
+        s = self._size
+        self._weights[:s] *= 1.0 - gamma
         key = vertex.tobytes()
         if key in self._index:
             self._weights[self._index[key]] += gamma
         else:
-            self._vertices.append(vertex)
-            self._weights.append(gamma)
-            self._index[key] = len(self._weights) - 1
+            if s == len(self._weights):
+                self._weights = np.concatenate([self._weights, np.empty(s)])
+                self._vertices = np.concatenate(
+                    [self._vertices, np.empty_like(self._vertices)]
+                )
+            self._vertices[s] = vertex
+            self._weights[s] = gamma
+            self._index[key] = s
+            self._size = s + 1
         self._prune()
 
     def away_update(self, gamma: float, away_index: int) -> None:
         """y <- y + gamma * (y - v_A): move weight away from one vertex."""
-        self._weights = [w * (1.0 + gamma) for w in self._weights]
-        self._weights[away_index] -= gamma
+        weights = self._weights[: self._size]
+        weights *= 1.0 + gamma
+        weights[away_index] -= gamma
         self._prune()
 
     def _prune(self) -> None:
-        if min(self._weights) < _DROP_WEIGHT:
-            keep = [i for i, w in enumerate(self._weights) if w >= _DROP_WEIGHT]
-            self._weights = [self._weights[i] for i in keep]
-            self._vertices = [self._vertices[i] for i in keep]
-            self._index = {v.tobytes(): i for i, v in enumerate(self._vertices)}
-        total = math.fsum(self._weights)
+        weights = self._weights[: self._size]
+        if weights.min() < _DROP_WEIGHT:
+            keep = np.flatnonzero(weights >= _DROP_WEIGHT)
+            s = len(keep)
+            self._weights[:s] = weights[keep]
+            self._vertices[:s] = self._vertices[keep]
+            self._size = s
+            self._index = {self._vertices[i].tobytes(): i for i in range(s)}
+        total = self.weight_sum()
         if abs(total - 1.0) > _WEIGHT_DRIFT_ERROR:
             raise ActiveSetConsistencyError(
                 f"active-set weights sum to {total!r}; drift exceeds {_WEIGHT_DRIFT_ERROR}"
             )
 
     def weight_sum(self) -> float:
-        return math.fsum(self._weights)
+        return math.fsum(self._weights[: self._size].tolist())
 
 
 def fw_gap(iterate, target, lmo_vertex) -> float:

@@ -8,10 +8,13 @@ inequality over every vertex), so its correctness does not depend on the
 solver under test.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+
+from fwcuts.instances import MkpInstance
 
 
 def all_binary_points(k: int) -> np.ndarray:
@@ -37,6 +40,24 @@ def brute_force_max(points: np.ndarray, direction) -> tuple[float, np.ndarray]:
     return float(vals[i]), points[i]
 
 
+def enumerate_optimum(instance: MkpInstance) -> int:
+    pts = all_binary_points(instance.n)
+    keep = np.ones(len(pts), dtype=bool)
+    for i in range(instance.m):
+        keep &= pts @ instance.weights[i] <= instance.capacities[i]
+    for coeffs, rhs in instance.eq_rows:
+        keep &= pts @ coeffs == rhs
+    return int((pts[keep] @ instance.profits).max())
+
+
+def random_small_instance(rng, n=10, m=2) -> MkpInstance:
+    A = rng.integers(1, 20, size=(m, n))
+    b = (0.5 * A.sum(axis=1)).astype(int)
+    c = (A.sum(axis=0) / m + 10 * rng.random(n)).astype(int) + 1
+    inst = MkpInstance(f"rand{rng.integers(1e9)}", n, m, c, A, b)
+    return dataclasses.replace(inst, known_optimum=enumerate_optimum(inst))
+
+
 def random_knapsack(rng, k_min=3, k_max=12, w_max=20, tight_lo=0.3, tight_hi=0.7):
     k = int(rng.integers(k_min, k_max + 1))
     w = rng.integers(1, w_max + 1, size=k)
@@ -45,6 +66,19 @@ def random_knapsack(rng, k_min=3, k_max=12, w_max=20, tight_lo=0.3, tight_hi=0.7
     hi = max(lo + 1, int(tight_hi * total) + 1)
     cap = int(rng.integers(lo, hi))
     return w, cap
+
+
+def single_row_problem(seed):
+    """(weights, capacity, target) of a seeded single-row separation problem:
+    k in [8, 16], weights 1-1000, capacity 25-60 % of the weight sum, and a
+    uniform target scaled to 0.8-1.3 times the capacity, clipped to [0, 1]."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(8, 17))
+    w = rng.integers(1, 1001, size=k)
+    cap = int(rng.uniform(0.25, 0.6) * w.sum())
+    x = rng.uniform(0.0, 1.0, size=k)
+    x = np.clip(x * rng.uniform(0.8, 1.3) * cap / float(w @ x), 0.0, 1.0)
+    return w, cap, x
 
 
 def _affine_min(P: np.ndarray, point: np.ndarray) -> np.ndarray:

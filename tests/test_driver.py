@@ -17,29 +17,11 @@ from fwcuts.lp import solve
 from fwcuts.oracles import KnapsackSubproblem, knapsack_dp_max
 from fwcuts.separation import FwConfig
 
-from conftest import all_binary_points, feasible_points
-
-
-def enumerate_optimum(instance: MkpInstance) -> int:
-    pts = all_binary_points(instance.n)
-    keep = np.ones(len(pts), dtype=bool)
-    for i in range(instance.m):
-        keep &= pts @ instance.weights[i] <= instance.capacities[i]
-    for coeffs, rhs in instance.eq_rows:
-        keep &= pts @ coeffs == rhs
-    return int((pts[keep] @ instance.profits).max())
+from conftest import enumerate_optimum, feasible_points, random_small_instance
 
 
 def micro_instance() -> MkpInstance:
     inst = MkpInstance("micro", 2, 1, [6, 4], [[3, 5]], [7])
-    return dataclasses.replace(inst, known_optimum=enumerate_optimum(inst))
-
-
-def random_small_instance(rng, n=10, m=2) -> MkpInstance:
-    A = rng.integers(1, 20, size=(m, n))
-    b = (0.5 * A.sum(axis=1)).astype(int)
-    c = (A.sum(axis=0) / m + 10 * rng.random(n)).astype(int) + 1
-    inst = MkpInstance(f"rand{rng.integers(1e9)}", n, m, c, A, b)
     return dataclasses.replace(inst, known_optimum=enumerate_optimum(inst))
 
 
@@ -129,12 +111,20 @@ class TestRootLoop:
         report = root_cut_loop(inst, loop_config=LoopConfig(max_rounds=10, lifting="down"))
         assert all(c.passed for c in audit_report(inst, report))
 
-    def test_threaded_run_matches_sequential(self, rng):
-        inst = random_small_instance(rng, n=12, m=4)
-        seq = root_cut_loop(inst, loop_config=LoopConfig(max_rounds=8))
-        par = root_cut_loop(inst, loop_config=LoopConfig(max_rounds=8, threads=3))
-        assert seq.bound_history == par.bound_history
-        assert seq.cuts_added == par.cuts_added
+    def test_lifting_time_is_counted_inside_separation_time(self, rng):
+        lifted = 0
+        for _ in range(3):
+            inst = random_small_instance(rng, n=12, m=3)
+            report = root_cut_loop(inst, loop_config=LoopConfig(max_rounds=10))
+            t = report.timings
+            if any(rec.source == "lifted" for rec in report.cut_pool):
+                lifted += 1
+                assert 0.0 < t["lifting_s"] <= t["separation_s"]
+            unlifted = root_cut_loop(
+                inst, loop_config=LoopConfig(max_rounds=10, lifting=LIFT_NONE)
+            )
+            assert unlifted.timings["lifting_s"] == 0.0
+        assert lifted > 0
 
     def test_audit_flags_corrupted_cut(self, rng):
         inst = random_small_instance(rng)
