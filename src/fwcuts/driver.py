@@ -32,6 +32,10 @@ STOP_INTEGRAL = "integral"
 STOP_NO_CUTS = "no-cuts"
 STOP_ROUND_LIMIT = "round-limit"
 
+# absolute slack allowed between a cut's right-hand side and the exact
+# maximum of its left-hand side over the integer points of its row
+CUT_VALIDITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class LoopConfig:
@@ -129,7 +133,8 @@ def _separate_one_row(instance, row, x, fw_config, loop_config, timings):
 
     Returns (attempted, stop_reason, candidate) where candidate is
     (alpha_full, beta, source) for a cut valid for this row, or None.
-    Time spent lifting is added to timings["lifting_s"].
+    Time spent lifting is added to timings["lifting_s"].  Raises
+    InvalidCutError when the lifted cut cuts off an integer point of the row.
     """
     # keep heavy fractional items in the subproblem: forcing them to zero
     # would silently drop the very variables a cut could charge
@@ -158,6 +163,11 @@ def _separate_one_row(instance, row, x, fw_config, loop_config, timings):
     t0 = time.perf_counter()
     lifted = lift_cut(reduced, sub, order_policy=loop_config.lifting)
     timings["lifting_s"] += time.perf_counter() - t0
+    if lifted.row_max > lifted.beta_full + CUT_VALIDITY_TOL:
+        raise InvalidCutError(
+            f"row {row}: lifted cut reaches {lifted.row_max!r} at an integer point "
+            f"of the row, above its right-hand side {lifted.beta_full!r}"
+        )
     return True, reason, (lifted.alpha_full, float(lifted.beta_full), "lifted")
 
 
@@ -294,7 +304,7 @@ def audit_report(instance: MkpInstance, report: RootRunReport) -> list[AuditChec
             instance.weights[row], int(instance.capacities[row])
         )
         best, _ = knapsack_dp_max(sub, rec.alpha)
-        if best > rec.beta + 1e-6:
+        if best > rec.beta + CUT_VALIDITY_TOL:
             bad += 1
     checks.append(
         AuditCheck(

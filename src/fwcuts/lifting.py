@@ -5,9 +5,28 @@ a cut valid for the original single-row knapsack by introducing the fixed
 variables one at a time.  Variables fixed at 1 are "down-lifted" first: each
 release restores that item's weight to the capacity, so every intermediate
 maximization runs over a nonnegative integer capacity.  Variables fixed at 0
-are "up-lifted" afterwards.  Each coefficient comes from one exact knapsack
-maximization over the variables introduced so far (real-valued profits,
-capacity-indexed table).
+are "up-lifted" afterwards.
+
+Each coefficient needs the exact maximum of <alpha, x> over the items
+introduced so far at one capacity.  A single value table per `lift_cut` call
+answers all of these (Gu, Nemhauser and Savelsbergh 2000, J. Comb. Optim.):
+g[c] is the maximum over the processed items of weight at most c, for
+c = 0..C with C the row capacity.  The table is seeded with the free
+variables, every coefficient is one lookup, and releasing an item with
+coefficient p and weight w is one O(C) update
+g[w:] = max(g[w:], g[:C+1-w] + p).  Zero-weight items with positive
+coefficient are kept apart as a list whose sum is added to g[c]; items with
+coefficient <= 0 or weight > C never change any g[c] and are skipped.
+Lifting k free and |F| fixed variables costs O((k + |F|) * C) time, plus one
+O(n * C) knapsack DP over the finished row (`LiftedCut.row_max`), which
+certifies the cut.
+
+The table repeats the floating-point operations of a fresh per-query DP
+(`knapsack_dp_max` over the processed items) exactly: that DP adds the items
+in the same order with the same update, an item heavier than the query
+capacity only touches cells above it, and a cell c only reads cells <= c.
+So g[c] equals the fresh DP's value at capacity c bit for bit, and so do the
+lifted coefficients.
 
 The lifted right-hand side is the reduced one plus the sum of the
 down-lifting coefficients, so at an LP point with the fixed variables at
@@ -37,13 +56,16 @@ class LiftedCut:
 
     `lifted_coeffs` maps each originally-fixed index to its coefficient
     (0.0 for variables skipped by the down-only policy); `order_used` is the
-    sequence in which fixed variables were introduced.
+    sequence in which fixed variables were introduced.  `row_max` is the
+    exact maximum of <alpha_full, x> over the 0/1 points of the full row, so
+    the cut is valid exactly when row_max <= beta_full.
     """
 
     alpha_full: np.ndarray
     beta_full: float
     lifted_coeffs: dict[int, float]
     order_used: tuple[int, ...]
+    row_max: float
     source: str = "lifted"
 
     def __post_init__(self):
@@ -63,15 +85,45 @@ class LiftedCut:
         )
 
 
-def _dp_value(profits, weights, capacity: int) -> float:
-    """Exact max of <profits, x> over the 0/1 knapsack; 0 on an empty or
-    infeasible item set (the empty selection is always feasible)."""
-    if capacity < 0 or len(profits) == 0:
-        return 0.0
-    value, _ = knapsack_dp_max(
-        KnapsackSubproblem.plain(weights, capacity), np.asarray(profits, dtype=np.float64)
-    )
-    return value
+class _ValueTable:
+    """Knapsack value function of the items released so far.
+
+    `value(c)` is the maximum of <profits, x> over the released items with
+    total weight <= c, for 0 <= c <= capacity, and 0.0 for c < 0.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = max(int(capacity), 0)
+        self._g = np.zeros(self.capacity + 1)
+        self._free: list[float] = []  # zero-weight positive profits, in order
+
+    def release(self, profit: float, weight: int) -> None:
+        if not profit > 0.0 or weight > self.capacity:
+            return
+        if weight == 0:
+            self._free.append(profit)
+            return
+        g = self._g
+        np.maximum(g[weight:], g[: self.capacity + 1 - weight] + profit, out=g[weight:])
+
+    def value(self, capacity: int) -> float:
+        if capacity < 0:
+            return 0.0
+        free = float(np.array(self._free).sum()) if self._free else 0.0
+        return free + float(self._g[capacity])
+
+    @classmethod
+    def over(cls, profits, weights, capacity: int) -> "_ValueTable":
+        profits = np.asarray(profits, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.int64)
+        if profits.shape != weights.shape:
+            raise DimensionMismatchError("profits and weights differ in length")
+        if np.any(weights < 0):
+            raise ValueError("knapsack weights must be nonnegative")
+        table = cls(capacity)
+        for p, w in zip(profits, weights):
+            table.release(float(p), int(w))
+        return table
 
 
 def uplift(processed_alpha, processed_weights, rhs: float, capacity: int, item_weight: int) -> float:
@@ -83,7 +135,8 @@ def uplift(processed_alpha, processed_weights, rhs: float, capacity: int, item_w
     keeps the inequality valid is rhs minus the maximum the others can still
     reach.
     """
-    z = _dp_value(processed_alpha, processed_weights, capacity - int(item_weight))
+    rest = int(capacity) - int(item_weight)
+    z = _ValueTable.over(processed_alpha, processed_weights, rest).value(rest)
     return float(rhs) - z
 
 
@@ -98,9 +151,8 @@ def downlift(
     coefficient is z - rhs and the right-hand side grows by the same amount.
     Returns (beta_j, new_rhs); beta_j may have either sign.
     """
-    z = _dp_value(
-        processed_alpha, processed_weights, int(capacity_when_fixed) + int(item_weight)
-    )
+    restored = int(capacity_when_fixed) + int(item_weight)
+    z = _ValueTable.over(processed_alpha, processed_weights, restored).value(restored)
     beta = z - float(rhs)
     return beta, float(rhs) + beta
 
@@ -118,7 +170,8 @@ def lift_cut(
     within each group (validity holds for every order; coefficients may
     differ).  The down-only policy leaves the zero-fixed variables at
     coefficient 0, which is valid because the cut then does not constrain
-    them.
+    them.  The result carries `row_max`; lifting never raises on an invalid
+    input cut, it is up to the caller to compare row_max with beta_full.
     """
     if order_policy not in _POLICIES:
         raise ValueError(f"unknown lifting order policy {order_policy!r}")
@@ -139,37 +192,38 @@ def lift_cut(
     alpha_full[list(sub.index_map)] = alpha
     rhs = float(reduced_cut.beta)
     capacity = sub.capacity
-    processed = list(sub.index_map)
+    table = _ValueTable.over(alpha, sub.weights, sub.row_capacity)
     lifted: dict[int, float] = {}
     order_used: list[int] = []
 
     for j in f1:
-        beta_j, rhs = downlift(
-            alpha_full[processed], row_w[processed], rhs, capacity, int(row_w[j])
-        )
-        capacity += int(row_w[j])
+        wj = int(row_w[j])
+        capacity += wj
+        beta_j = table.value(capacity) - rhs
+        rhs += beta_j
         alpha_full[j] = beta_j
         lifted[j] = beta_j
-        processed.append(j)
+        table.release(beta_j, wj)
         order_used.append(j)
     assert capacity == sub.row_capacity
 
     if order_policy == ORDER_DOWN_UP:
         for j in f0:
-            beta_j = uplift(
-                alpha_full[processed], row_w[processed], rhs, capacity, int(row_w[j])
-            )
+            wj = int(row_w[j])
+            beta_j = rhs - table.value(capacity - wj)
             alpha_full[j] = beta_j
             lifted[j] = beta_j
-            processed.append(j)
+            table.release(beta_j, wj)
             order_used.append(j)
     else:
         for j in f0:
             lifted[j] = 0.0
 
+    row_max, _ = knapsack_dp_max(KnapsackSubproblem.plain(row_w, capacity), alpha_full)
     return LiftedCut(
         alpha_full=alpha_full,
         beta_full=rhs,
         lifted_coeffs=lifted,
         order_used=tuple(order_used),
+        row_max=row_max,
     )

@@ -58,8 +58,8 @@ class FwConfig:
     turns the duality stop on/off; with it off the solver only stops on
     membership, on a true-oracle gap <= 2*epsilon, or at the iteration limit.
     `use_lazy` switches between the lazy solver and plain away steps (every
-    iteration calls the oracle).  `init_vertex` overrides the deterministic
-    default start, which is the vertex maximizing <target, v>.
+    iteration calls the oracle).  Every run starts at the vertex maximizing
+    <target, v>.
     """
 
     max_iters: int = 10_000
@@ -68,7 +68,6 @@ class FwConfig:
     lazification_factor: float = 2.0
     early_termination: bool = True
     use_lazy: bool = True
-    init_vertex: np.ndarray | None = None
     record_trace: bool = False  # per-iteration (f, step kind) in the stats
 
     def __post_init__(self):
@@ -371,11 +370,6 @@ def _validate_inputs(target, oracle) -> np.ndarray:
 
 
 def _initial_vertex(x: np.ndarray, state: _RunState) -> np.ndarray:
-    if state.config.init_vertex is not None:
-        v = np.asarray(state.config.init_vertex, dtype=np.float64)
-        if v.shape != x.shape:
-            raise DimensionMismatchError("init_vertex dimension mismatch")
-        return v
     v = np.asarray(state.oracle.minimize(-x), dtype=np.float64)
     state.oracle_calls += 1
     return v

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fwcuts.instances import MkpInstance
+from fwcuts.oracles import KnapsackSubproblem, knapsack_dp_max
 
 
 def all_binary_points(k: int) -> np.ndarray:
@@ -79,6 +80,68 @@ def single_row_problem(seed):
     x = rng.uniform(0.0, 1.0, size=k)
     x = np.clip(x * rng.uniform(0.8, 1.3) * cap / float(w @ x), 0.0, 1.0)
     return w, cap, x
+
+
+MICROBENCH_SEED = 20240611  # the instance of tests/test_microbench.py
+
+
+def cb_style_instance(seed, n=30, m=5, tightness=0.25) -> MkpInstance:
+    """Seeded Chu-Beasley-style instance: weights 1-1000, capacities a
+    `tightness` share of each row's weight sum, and profits correlated with
+    the mean column weight (the shape of the benchmark's mkp-cb workload)."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(1, 1001, size=(m, n))
+    b = np.floor(tightness * A.sum(axis=1)).astype(np.int64)
+    c = (A.sum(axis=0) / m + 500.0 * rng.random(n)).astype(np.int64)
+    return MkpInstance(f"micro-cb-{seed}", n, m, c, A, b)
+
+
+def _fresh_dp_value(profits, weights, capacity: int) -> float:
+    if capacity < 0 or len(profits) == 0:
+        return 0.0
+    value, _ = knapsack_dp_max(
+        KnapsackSubproblem.plain(weights, capacity), np.asarray(profits, dtype=np.float64)
+    )
+    return value
+
+
+def reference_lift_cut(reduced_cut, sub, order_policy="down-up", f1_order=None, f0_order=None):
+    """Sequential lifting with one fresh knapsack DP per fixed variable.
+
+    This is the direct O(n^2 * C) algorithm that `fwcuts.lifting.lift_cut`
+    must reproduce bit for bit.  Returns (alpha_full, beta_full,
+    lifted_coeffs, order_used); the policy is "down-up" or "down".
+    """
+    f1 = tuple(f1_order) if f1_order is not None else sub.fixed_one
+    f0 = tuple(f0_order) if f0_order is not None else sub.fixed_zero
+    row_w = sub.row_weights
+    alpha_full = np.zeros(sub.original_dimension)
+    alpha_full[list(sub.index_map)] = np.asarray(reduced_cut.alpha, dtype=np.float64)
+    rhs = float(reduced_cut.beta)
+    capacity = sub.capacity
+    processed = list(sub.index_map)
+    lifted = {}
+    order_used = []
+    for j in f1:
+        z = _fresh_dp_value(alpha_full[processed], row_w[processed], capacity + int(row_w[j]))
+        beta_j = z - rhs
+        rhs = rhs + beta_j
+        capacity += int(row_w[j])
+        alpha_full[j] = beta_j
+        lifted[j] = beta_j
+        processed.append(j)
+        order_used.append(j)
+    for j in f0:
+        if order_policy != "down-up":
+            lifted[j] = 0.0
+            continue
+        z = _fresh_dp_value(alpha_full[processed], row_w[processed], capacity - int(row_w[j]))
+        beta_j = rhs - z
+        alpha_full[j] = beta_j
+        lifted[j] = beta_j
+        processed.append(j)
+        order_used.append(j)
+    return alpha_full, rhs, lifted, tuple(order_used)
 
 
 def _affine_min(P: np.ndarray, point: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fwcuts.driver as driver
 from fwcuts.driver import (
     LIFT_NONE,
     LoopConfig,
@@ -11,11 +12,11 @@ from fwcuts.driver import (
     gap_closed,
     root_cut_loop,
 )
-from fwcuts.errors import GapUndefinedError
+from fwcuts.errors import GapUndefinedError, InvalidCutError
 from fwcuts.instances import MkpInstance, parse_gap
 from fwcuts.lp import solve
 from fwcuts.oracles import KnapsackSubproblem, knapsack_dp_max
-from fwcuts.separation import FwConfig
+from fwcuts.separation import Cut, FwConfig, SeparationOutcome, SeparationStats, Separated
 
 from conftest import enumerate_optimum, feasible_points, random_small_instance
 
@@ -125,6 +126,21 @@ class TestRootLoop:
             )
             assert unlifted.timings["lifting_s"] == 0.0
         assert lifted > 0
+
+    def test_invalid_lifted_cut_raises_before_reaching_the_lp(self, rng, monkeypatch):
+        # sum(x) <= -1 cuts off the origin of every reduced knapsack, and
+        # lifting keeps a reduced cut invalid
+        def invalid_cut(target, oracle, config=None):
+            cut = Cut(np.ones(len(target)), -1.0, float(np.sum(target)) + 1.0, "early-stop")
+            stats = SeparationStats(0, 1, 0, 0, 0, "early-criterion", 0.0)
+            return SeparationOutcome(Separated(cut), stats)
+
+        lp_rows_added = []
+        monkeypatch.setattr(driver, "separate_lazy_afw", invalid_cut)
+        monkeypatch.setattr(driver.SimplexSolver, "add_rows", lp_rows_added.append)
+        with pytest.raises(InvalidCutError, match="row 0"):
+            root_cut_loop(random_small_instance(rng))
+        assert lp_rows_added == []
 
     def test_audit_flags_corrupted_cut(self, rng):
         inst = random_small_instance(rng)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import fwcuts.driver as driver
+from fwcuts.driver import LoopConfig, root_cut_loop
 from fwcuts.lifting import ORDER_DOWN_ONLY, ORDER_DOWN_UP, downlift, lift_cut, uplift
 from fwcuts.oracles import KnapsackOracle, KnapsackSubproblem, knapsack_dp_max, reduce_row
-from fwcuts.separation import Cut, separate_lazy_afw
+from fwcuts.separation import Cut, FwConfig, separate_lazy_afw
 
-from conftest import feasible_points
+from conftest import MICROBENCH_SEED, cb_style_instance, feasible_points, reference_lift_cut
 
 
 def make_cut(alpha, beta, violation=1.0):
@@ -144,6 +146,7 @@ class TestLiftingPipeline:
             lifted = lift_cut(reduced, sub)
             best, _ = knapsack_dp_max(KnapsackSubproblem.plain(w, cap), lifted.alpha_full)
             assert best <= lifted.beta_full + 1e-9
+            assert lifted.row_max == best
 
     def test_each_partial_step_stays_valid(self, rng):
         done = 0
@@ -174,3 +177,99 @@ class TestLiftingPipeline:
                 processed.append(j)
                 V = feasible_points(w[processed], capacity)
                 assert float(np.max(V @ alpha[processed])) <= rhs + 1e-9
+
+
+def _same_bits(lifted, reference):
+    alpha_full, beta_full, coeffs, order_used = reference
+    assert lifted.alpha_full.tobytes() == alpha_full.tobytes()
+    assert np.float64(lifted.beta_full).tobytes() == np.float64(beta_full).tobytes()
+    assert list(lifted.lifted_coeffs) == list(coeffs)
+    assert (
+        np.array(list(lifted.lifted_coeffs.values()), dtype=np.float64).tobytes()
+        == np.array(list(coeffs.values()), dtype=np.float64).tobytes()
+    )
+    assert lifted.order_used == order_used
+
+
+def _random_lifting_case(seed):
+    """Seeded (subproblem, reduced cut) with zero weights, items heavier than
+    the row capacity, and a right-hand side that is often above the reduced
+    maximum (which makes down-lifting coefficients negative).  The cut need
+    not be valid: only the arithmetic is compared."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    labels = rng.choice(3, size=n, p=[0.5, 0.25, 0.25])  # free, at one, at zero
+    labels[int(rng.integers(n))] = 0
+    w = rng.integers(1, 25, size=n)
+    w[rng.random(n) < rng.choice([0.1, 0.5])] = 0
+    cap = int(w[labels == 1].sum() + rng.integers(0, 40))
+    heavy = (rng.random(n) < 0.15) & (labels != 1)
+    w[heavy] = cap + rng.integers(1, 20, size=int(heavy.sum()))
+    free, one, zero = (tuple(np.flatnonzero(labels == i).tolist()) for i in range(3))
+    sub = KnapsackSubproblem(
+        w[list(free)], cap - int(w[list(one)].sum()), free, zero, one,
+        row_weights=w, row_capacity=cap,
+    )
+    alpha = rng.normal(size=len(free))
+    alpha[rng.random(len(free)) < 0.2] = 0.0
+    alpha[0] = abs(alpha[0]) + 0.1
+    beta = float(rng.uniform(-0.5, 1.5) * np.abs(alpha).sum())
+    return sub, make_cut(alpha, beta), rng
+
+
+class TestIncrementalTableMatchesFreshDp:
+    """`lift_cut` against `reference_lift_cut`, byte for byte."""
+
+    def test_random_subproblems(self):
+        seen = {"zero-weight": 0, "heavier-than-row": 0, "negative-downlift": 0, "shuffled": 0}
+        for seed in range(240):
+            sub, cut, rng = _random_lifting_case(seed)
+            f1, f0 = list(sub.fixed_one), list(sub.fixed_zero)
+            if seed % 2:
+                rng.shuffle(f1)
+                rng.shuffle(f0)
+                seen["shuffled"] += int(f1 != sorted(f1) or f0 != sorted(f0))
+            for policy in (ORDER_DOWN_UP, ORDER_DOWN_ONLY):
+                lifted = lift_cut(cut, sub, policy, f1_order=f1, f0_order=f0)
+                _same_bits(lifted, reference_lift_cut(cut, sub, policy, f1, f0))
+            w = sub.row_weights
+            seen["zero-weight"] += int(np.any(w == 0))
+            seen["heavier-than-row"] += int(np.any(w > sub.row_capacity))
+            seen["negative-downlift"] += int(any(lifted.lifted_coeffs[j] < 0 for j in f1))
+        assert min(seen.values()) >= 20, seen
+
+    def test_cuts_of_real_separations(self, monkeypatch):
+        calls = []
+
+        def recording(reduced, sub, **kwargs):
+            calls.append((reduced, sub))
+            return lift_cut(reduced, sub, **kwargs)
+
+        monkeypatch.setattr(driver, "lift_cut", recording)
+        instance = cb_style_instance(MICROBENCH_SEED)
+        root_cut_loop(instance, FwConfig(max_iters=500), LoopConfig(max_rounds=4))
+        assert len(calls) >= 10
+        rng = np.random.default_rng(3)
+        for reduced, sub in calls:
+            f1, f0 = list(sub.fixed_one), list(sub.fixed_zero)
+            for policy in (ORDER_DOWN_UP, ORDER_DOWN_ONLY):
+                _same_bits(lift_cut(reduced, sub, policy), reference_lift_cut(reduced, sub, policy))
+            rng.shuffle(f1)
+            rng.shuffle(f0)
+            lifted = lift_cut(reduced, sub, f1_order=f1, f0_order=f0)
+            _same_bits(lifted, reference_lift_cut(reduced, sub, ORDER_DOWN_UP, f1, f0))
+
+
+class TestRowMaxCertificate:
+    def test_row_max_is_the_enumerated_maximum(self):
+        checked = 0
+        for seed in range(300, 400):
+            sub, cut, _ = _random_lifting_case(seed)
+            if sub.original_dimension > 12:
+                continue
+            checked += 1
+            for policy in (ORDER_DOWN_UP, ORDER_DOWN_ONLY):
+                lifted = lift_cut(cut, sub, policy)
+                best = max_lhs(lifted.alpha_full, sub.row_weights, sub.row_capacity)
+                assert lifted.row_max == pytest.approx(best, rel=1e-12, abs=1e-12)
+        assert checked >= 30

@@ -15,28 +15,19 @@ import numpy as np
 import pytest
 
 from fwcuts.driver import build_relaxation
-from fwcuts.instances import MkpInstance
 from fwcuts.lifting import lift_cut
 from fwcuts.lp import STATUS_OPTIMAL, SimplexSolver
 from fwcuts.oracles import KnapsackOracle, KnapsackSubproblem, knapsack_dp_max, reduce_row
 from fwcuts.separation import FwConfig, separate_lazy_afw
 
-from conftest import single_row_problem
+from conftest import MICROBENCH_SEED, cb_style_instance, single_row_problem
 
 ROUNDS = 3
 
 
-def _mkp_instance(seed, n=30, m=5, tightness=0.25) -> MkpInstance:
-    rng = np.random.default_rng(seed)
-    A = rng.integers(1, 1001, size=(m, n))
-    b = np.floor(tightness * A.sum(axis=1)).astype(np.int64)
-    c = (A.sum(axis=0) / m + 500.0 * rng.random(n)).astype(np.int64)
-    return MkpInstance(f"micro-cb-{seed}", n, m, c, A, b)
-
-
 @pytest.fixture(scope="module")
 def instance():
-    return _mkp_instance(20240611)
+    return cb_style_instance(MICROBENCH_SEED)
 
 
 @pytest.fixture(scope="module")
