@@ -4,10 +4,9 @@ Subcommands:
   separate   separate one point from one knapsack, print the cut or membership
   root-gap   run the root-node cutting-plane loop over an instance file
   audit      run a root loop and re-verify its cuts with independent checks
-  bench      root-gap plus shifted-geometric-mean timing summary
 
 Exit codes: `separate` uses 0 = separated, 1 = membership (or undecided),
-2 = error.  `root-gap`/`bench` use 0 = ok, 2 = error.  `audit` uses
+2 = error.  `root-gap` uses 0 = ok, 2 = error.  `audit` uses
 0 = all checks passed, 3 = a named invariant failed, 2 = error.
 
 File formats are whitespace-separated numbers throughout:
@@ -25,9 +24,7 @@ import dataclasses
 import csv
 import io
 import json
-import math
 import sys
-import time
 from dataclasses import asdict
 
 import numpy as np
@@ -61,45 +58,16 @@ EXIT_ERROR = 2
 EXIT_AUDIT_FAILED = 3
 
 
-def shifted_geometric_mean(values, shift: float = 1.0) -> float:
-    """(prod(v_i + shift))^(1/r) - shift."""
-    vals = [float(v) + shift for v in values]
-    if not vals:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals)) - shift
-
-
 def _add_fw_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument(
         "--step-rule", choices=["line-search", "agnostic"], default="line-search"
     )
-    p.add_argument(
-        "--no-lazy",
-        action="store_true",
-        help="call the oracle every iteration instead of reusing cached vertices",
-    )
-    p.add_argument(
-        "--vanilla",
-        action="store_true",
-        help="plain conditional gradients without away steps or an active set",
-    )
-    p.add_argument(
-        "--no-early-stop",
-        action="store_true",
-        help="disable the duality stop; run to gap tolerance or the iteration limit",
-    )
 
 
 def _fw_config(args) -> FwConfig:
-    return FwConfig(
-        max_iters=args.max_iters,
-        epsilon=args.epsilon,
-        step_rule=args.step_rule,
-        use_lazy=not args.no_lazy,
-        early_termination=not args.no_early_stop,
-    )
+    return FwConfig(max_iters=args.max_iters, epsilon=args.epsilon, step_rule=args.step_rule)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -310,29 +278,6 @@ def cmd_root_gap(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    reports = _run_reports(args)
-    wall = time.perf_counter() - t0
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bench",
-        "instances": [_report_dict(r, True) for r in reports],
-        "shifted_geometric_means": {
-            "shift": 1.0,
-            "time": round(
-                shifted_geometric_mean([r.timings["total_s"] for r in reports]), 3
-            ),
-            "sepa_time": round(
-                shifted_geometric_mean([r.timings["separation_s"] for r in reports]), 3
-            ),
-        },
-        "wall_s": round(wall, 3),
-    }
-    _emit(_dump_json(payload), args.out)
-    return EXIT_OK
-
-
 def run_audit(instances, fw_config, loop_config, cut_transform=None):
     """Run the loop per instance and re-verify invariants on each report.
 
@@ -400,6 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("point", help="file with k whitespace-separated floats")
     p_sep.add_argument("knapsack", help="file with: k C w_1 ... w_k")
     p_sep.add_argument("--normalize", action="store_true", help="scale the cut to ||alpha||_inf = 1")
+    p_sep.add_argument(
+        "--vanilla",
+        action="store_true",
+        help="plain conditional gradients without away steps or an active set",
+    )
     _add_fw_flags(p_sep)
     _add_output_flags(p_sep)
     p_sep.set_defaults(func=cmd_separate)
@@ -407,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in (
         ("root-gap", cmd_root_gap, "root-node cutting-plane loop over an instance file"),
         ("audit", cmd_audit, "run and re-verify invariants on real instances"),
-        ("bench", cmd_bench, "root-gap with shifted-geometric-mean timing summary"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instances", help="instance file")

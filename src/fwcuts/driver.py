@@ -40,7 +40,6 @@ CUT_VALIDITY_TOL = 1e-6
 @dataclass(frozen=True)
 class LoopConfig:
     max_rounds: int = 1000
-    per_row: bool = True  # False: stop each round at the first accepted cut
     lifting: str = ORDER_DOWN_UP
     violation_threshold: float = 1e-6
     integrality_tol: float = 1e-6
@@ -136,14 +135,8 @@ def _separate_one_row(instance, row, x, fw_config, loop_config, timings):
     Time spent lifting is added to timings["lifting_s"].  Raises
     InvalidCutError when the lifted cut cuts off an integer point of the row.
     """
-    # keep heavy fractional items in the subproblem: forcing them to zero
-    # would silently drop the very variables a cut could charge
     sub, target = reduce_row(
-        instance.weights[row],
-        int(instance.capacities[row]),
-        x,
-        loop_config.integrality_tol,
-        apply_forced_zero=False,
+        instance.weights[row], int(instance.capacities[row]), x, loop_config.integrality_tol
     )
     if sub.size == 0:
         return False, None, None
@@ -230,8 +223,6 @@ def root_cut_loop(
             record = CutRecord(row, alpha_full, beta, violation, source, round_no)
             pool.add(record)
             new_records.append(record)
-            if not loop_config.per_row:
-                break
 
         if not new_records:
             loop_stop = STOP_NO_CUTS

@@ -76,14 +76,6 @@ class LiftedCut:
     def violation(self, point) -> float:
         return float(self.alpha_full @ np.asarray(point, dtype=np.float64) - self.beta_full)
 
-    def as_cut(self, violation_at_target: float) -> Cut:
-        return Cut(
-            alpha=self.alpha_full,
-            beta=self.beta_full,
-            violation_at_target=violation_at_target,
-            source=self.source,
-        )
-
 
 class _ValueTable:
     """Knapsack value function of the items released so far.

@@ -247,9 +247,6 @@ class KnapsackOracle:
         _, solution = knapsack_dp_max(self.subproblem, -direction)
         return solution
 
-    def maximize(self, profits) -> tuple[float, np.ndarray]:
-        return knapsack_dp_max(self.subproblem, profits)
-
 
 def enumerate_lmo(direction, predicate=None, batch_predicate=None) -> np.ndarray:
     """One-shot enumeration argmin of <direction, x> over feasible 0/1 points."""
@@ -270,18 +267,16 @@ def reduce_row(
     row_capacity: int,
     lp_point,
     integrality_tol: float = 1e-6,
-    apply_forced_zero: bool = True,
 ) -> tuple[KnapsackSubproblem, np.ndarray]:
     """Project one knapsack row onto the fractional support of an LP point.
 
     Variables at (tolerance-) integral values are fixed: the ones at 1 reduce
-    the capacity, the ones at 0 drop out.  With `apply_forced_zero` (the
-    default) free items heavier than the reduced capacity are forced to 0 as
-    well, shrinking the subproblem; without it they stay free, which keeps
-    them separable (every reduced-space solution still has them at 0, so a
-    cut can charge them).  Returns the reduced knapsack and the LP point
-    restricted to the remaining free variables; a size-0 subproblem signals
-    that nothing fractional remains.
+    the capacity, the ones at 0 drop out.  Every fractional variable stays
+    free, even one heavier than the reduced capacity: every reduced-space
+    solution has it at 0, so a cut can charge it, and forcing it to zero
+    would silently drop it from the cut.  Returns the reduced knapsack and
+    the LP point restricted to the free variables; a size-0 subproblem
+    signals that nothing fractional remains.
     """
     w = np.asarray(row_weights, dtype=np.int64)
     x = np.asarray(lp_point, dtype=np.float64)
@@ -302,19 +297,14 @@ def reduce_row(
         raise InfeasibleFixingError(
             "variables fixed at one exceed the row capacity; the LP point is not feasible"
         )
-    if apply_forced_zero:
-        forced = fractional & (w > reduced_cap)
-    else:
-        forced = np.zeros_like(fractional)
-    free = fractional & ~forced
 
     sub = KnapsackSubproblem(
-        weights=w[free],
+        weights=w[fractional],
         capacity=reduced_cap,
-        index_map=tuple(np.flatnonzero(free)),
-        fixed_zero=tuple(np.flatnonzero(at_zero | forced)),
+        index_map=tuple(np.flatnonzero(fractional)),
+        fixed_zero=tuple(np.flatnonzero(at_zero)),
         fixed_one=tuple(np.flatnonzero(at_one)),
         row_weights=w,
         row_capacity=cap,
     )
-    return sub, x[free].copy()
+    return sub, x[fractional].copy()

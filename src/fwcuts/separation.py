@@ -37,7 +37,6 @@ from .oracles import LinearMinimizationOracle
 STOP_EPSILON_MEMBERSHIP = "epsilon-membership"
 STOP_EARLY_CRITERION = "early-criterion"
 STOP_ZERO_GRADIENT = "zero-gradient"
-STOP_GAP_TOLERANCE = "gap-tolerance"
 STOP_ITERATION_LIMIT = "iteration-limit"
 
 STEP_LINE_SEARCH = "line-search"
@@ -46,6 +45,8 @@ STEP_AGNOSTIC = "agnostic"
 _DROP_WEIGHT = 1e-12
 _WEIGHT_DRIFT_ERROR = 1e-6
 _INITIAL_ROWS = 16
+# divides phi in the cached-step thresholds and in the dual-step update
+LAZIFICATION_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -53,21 +54,14 @@ class FwConfig:
     """Solver knobs.
 
     `step_rule` is "line-search" (closed form, since f is quadratic) or
-    "agnostic" (2/(t+2)).  `lazification_factor` divides phi both in the
-    cached-step thresholds and in the dual-step update.  `early_termination`
-    turns the duality stop on/off; with it off the solver only stops on
-    membership, on a true-oracle gap <= 2*epsilon, or at the iteration limit.
-    `use_lazy` switches between the lazy solver and plain away steps (every
-    iteration calls the oracle).  Every run starts at the vertex maximizing
-    <target, v>.
+    "agnostic" (2/(t+2)).  Both solvers stop on membership (f below
+    `epsilon`), on the duality test, or after `max_iters` iterations.  Every
+    run starts at the vertex maximizing <target, v>.
     """
 
     max_iters: int = 10_000
     epsilon: float = 1e-9
     step_rule: str = STEP_LINE_SEARCH
-    lazification_factor: float = 2.0
-    early_termination: bool = True
-    use_lazy: bool = True
     record_trace: bool = False  # per-iteration (f, step kind) in the stats
 
     def __post_init__(self):
@@ -77,8 +71,6 @@ class FwConfig:
             raise ValueError("epsilon must be positive")
         if self.step_rule not in (STEP_LINE_SEARCH, STEP_AGNOSTIC):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if not self.lazification_factor > 1:
-            raise ValueError("lazification_factor must be > 1")
 
 
 @dataclass(frozen=True)
@@ -429,21 +421,9 @@ def separate_vanilla(
             return _membership_outcome(state, t, f)
         gradient = y - x
         v = state.call_oracle(y, gradient)
-        gap = float(gradient @ (y - v))
-        if config.early_termination:
-            fired, cut = early_stop_check(y, x, v)
-            if fired:
-                return SeparationOutcome(
-                    Separated(cut), state.stats(t, STOP_EARLY_CRITERION, f)
-                )
-        if not config.early_termination and gap <= 2.0 * config.epsilon:
-            alpha = x - y
-            violation = 2.0 * f - gap
-            stats = state.stats(t, STOP_GAP_TOLERANCE, f)
-            if violation > 1e-9:
-                cut = Cut(alpha, float(alpha @ v), violation, source="fw-converged")
-                return SeparationOutcome(Separated(cut), stats)
-            return SeparationOutcome(Undecided(f), stats)
+        fired, cut = early_stop_check(y, x, v)
+        if fired:
+            return SeparationOutcome(Separated(cut), state.stats(t, STOP_EARLY_CRITERION, f))
         state.record(f, "fw")
         direction = v - y
         gamma = _step_size(config, t, x, y, direction, 1.0)
@@ -468,7 +448,6 @@ def separate_lazy_afw(
     gradient = y - x
     v0 = state.call_oracle(y, gradient)
     phi = float(gradient @ (y - v0))
-    K = config.lazification_factor
 
     for t in range(config.max_iters):
         diff = x - y
@@ -482,28 +461,25 @@ def separate_lazy_afw(
         v_away = active.vertex(i_away)
         gap_local = float(gradient @ (y - v_local))
         gap_away = float(gradient @ (v_away - y))
-        threshold = phi / K
+        threshold = phi / LAZIFICATION_FACTOR
 
         # choose the step: cached forward vertex, away vertex, or oracle call
         kind = "fw"
         step_vertex = None
         gamma_max = 1.0
         fresh_v = None  # a genuine oracle answer for this iterate, if any
-        if config.use_lazy and gap_local > 0.0 and gap_local >= max(gap_away, threshold):
+        if gap_local > 0.0 and gap_local >= max(gap_away, threshold):
             kind, step_vertex = "lazy", v_local
             state.lazy_hits += 1
-        elif config.use_lazy and 0.0 < gap_away > gap_local and gap_away >= threshold:
+        elif 0.0 < gap_away > gap_local and gap_away >= threshold:
             kind = "away"
             state.away_steps += 1
         else:
             fresh_v = state.call_oracle(y, gradient)
             gap_true = float(gradient @ (y - fresh_v))
-            if not config.use_lazy and gap_away > gap_true:
-                kind = "away"
-                state.away_steps += 1
-            elif config.use_lazy and gap_true < threshold:
+            if gap_true < threshold:
                 kind = "dual"
-                phi = min(gap_true, phi / K)
+                phi = min(gap_true, phi / LAZIFICATION_FACTOR)
                 state.dual_steps += 1
             else:
                 step_vertex = fresh_v
@@ -515,26 +491,15 @@ def separate_lazy_afw(
 
         # non-membership test: sound only against a true oracle answer, so a
         # lazy step that looks like it would fire pays one confirming call
-        if config.early_termination:
-            check_v = fresh_v
-            if check_v is None and kind == "lazy" and gap_local < f:
-                check_v = state.call_oracle(y, gradient)
-            if check_v is not None:
-                fired, cut = early_stop_check(y, x, check_v)
-                if fired:
-                    return SeparationOutcome(
-                        Separated(cut), state.stats(t, STOP_EARLY_CRITERION, f)
-                    )
-        elif fresh_v is not None:
-            gap_true = float(gradient @ (y - fresh_v))
-            if gap_true <= 2.0 * config.epsilon:
-                alpha = x - y
-                violation = 2.0 * f - gap_true
-                stats = state.stats(t, STOP_GAP_TOLERANCE, f)
-                if violation > 1e-9:
-                    cut = Cut(alpha, float(alpha @ fresh_v), violation, source="fw-converged")
-                    return SeparationOutcome(Separated(cut), stats)
-                return SeparationOutcome(Undecided(f), stats)
+        check_v = fresh_v
+        if check_v is None and kind == "lazy" and gap_local < f:
+            check_v = state.call_oracle(y, gradient)
+        if check_v is not None:
+            fired, cut = early_stop_check(y, x, check_v)
+            if fired:
+                return SeparationOutcome(
+                    Separated(cut), state.stats(t, STOP_EARLY_CRITERION, f)
+                )
 
         if kind == "away" and gamma_max > 0.0:
             direction = y - v_away

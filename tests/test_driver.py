@@ -91,13 +91,6 @@ class TestRootLoop:
             assert ra.row_index == rb.row_index and ra.round_added == rb.round_added
             assert np.array_equal(ra.alpha, rb.alpha) and ra.beta == rb.beta
 
-    def test_first_cut_only_mode(self, rng):
-        inst = random_small_instance(rng, n=12, m=4)
-        few = root_cut_loop(
-            inst, loop_config=LoopConfig(max_rounds=3, per_row=False)
-        )
-        assert few.cuts_added <= 3  # at most one accepted cut per round
-
     def test_unlifted_mode_skips_one_fixings_and_stays_valid(self, rng):
         for _ in range(5):
             inst = random_small_instance(rng, n=12, m=2)

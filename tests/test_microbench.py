@@ -36,9 +36,7 @@ def row_cut(instance):
     separator cuts off, reduced as the root loop reduces it."""
     x = SimplexSolver(build_relaxation(instance)).solve().x
     for row in range(instance.m):
-        sub, target = reduce_row(
-            instance.weights[row], int(instance.capacities[row]), x, apply_forced_zero=False
-        )
+        sub, target = reduce_row(instance.weights[row], int(instance.capacities[row]), x)
         if sub.size == 0:
             continue
         outcome = separate_lazy_afw(target, KnapsackOracle(sub), FwConfig(max_iters=500))

@@ -134,10 +134,12 @@ class TestReduceRow:
         # the reduced point satisfies the reduced row
         assert float(sub.weights @ target) <= sub.capacity
 
-    def test_forced_zero_rule(self):
+    def test_heavy_fractional_item_stays_free(self):
+        # item 1 weighs more than the reduced capacity but is fractional
         sub, target = reduce_row([3, 9], 10, np.array([1.0, 0.7]))
-        assert sub.size == 0
-        assert sub.fixed_zero == (1,) and sub.fixed_one == (0,)
+        assert sub.size == 1 and sub.capacity == 7
+        assert sub.fixed_zero == () and sub.fixed_one == (0,)
+        assert sub.index_map == (1,) and np.array_equal(target, [0.7])
 
     def test_point_violating_row_rejected(self):
         with pytest.raises(ValueError):

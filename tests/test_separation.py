@@ -141,13 +141,6 @@ class TestVanilla:
         out = separate_vanilla(np.array([0.5, 0.5]), make_oracle([1, 1], 2))
         assert isinstance(out.result, Membership)
 
-    def test_gap_tolerance_mode(self):
-        config = FwConfig(early_termination=False)
-        out = separate_vanilla(np.array([1.0, 1.0, 1.0]), make_oracle([2, 3, 4], 5), config)
-        assert isinstance(out.result, Separated)
-        assert out.stats.stop_reason == "gap-tolerance"
-        assert cut_is_valid(out.result.cut, [2, 3, 4], 5)
-
 
 class TestLazyAfw:
     def test_inside_target_from_convex_combination(self, rng):
@@ -180,16 +173,6 @@ class TestLazyAfw:
             assert np.array_equal(a.result.cut.alpha, b.result.cut.alpha)
             assert a.result.cut.beta == b.result.cut.beta
             assert a.result.cut.violation_at_target == b.result.cut.violation_at_target
-
-    def test_no_lazy_variant_agrees_on_verdict(self, rng):
-        for _ in range(10):
-            w, cap = random_knapsack(rng, k_max=9)
-            target = rng.uniform(-0.2, 1.2, size=len(w))
-            lazy = separate_lazy_afw(target, make_oracle(w, cap))
-            plain = separate_lazy_afw(target, make_oracle(w, cap), FwConfig(use_lazy=False))
-            assert lazy.is_membership == plain.is_membership
-            if plain.is_separated:
-                assert cut_is_valid(plain.result.cut, w, cap)
 
     def test_monotone_progress_on_non_dual_steps(self, rng):
         config = FwConfig(record_trace=True)
