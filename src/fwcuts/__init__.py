@@ -21,7 +21,7 @@ from .errors import (
     UndefinedBoundError,
 )
 from .instances import MkpInstance, load_gap_optima, parse_gap, parse_mknap
-from .lifting import LiftedCut, downlift, lift_cut, uplift
+from .lifting import LiftedCut, lift_cut
 from .lp import LpProblem, LpSolution, MembershipResult, SimplexSolver, membership_test, solve
 from .oracles import (
     EnumerationOracle,

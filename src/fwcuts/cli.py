@@ -29,16 +29,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .driver import (
-    LIFT_NONE,
-    LoopConfig,
-    RootRunReport,
-    audit_report,
-    root_cut_loop,
-)
+from .driver import LoopConfig, RootRunReport, audit_report, root_cut_loop
 from .errors import FwcutsError
 from .instances import load_gap_optima, parse_gap, parse_mknap
-from .lifting import ORDER_DOWN_ONLY, ORDER_DOWN_UP
 from .oracles import KnapsackOracle, KnapsackSubproblem
 from .separation import (
     FwConfig,
@@ -235,7 +228,7 @@ def _csv_text(reports, with_timings: bool) -> str:
 
 
 def _loop_config(args) -> LoopConfig:
-    return LoopConfig(max_rounds=args.max_rounds, lifting=args.lifting)
+    return LoopConfig(max_rounds=args.max_rounds)
 
 
 def _attach_optima(instances, args) -> list:
@@ -363,11 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["mknap", "gap"], default="mknap")
         p.add_argument("--optima", default=None, help="sidecar file of known optima")
         p.add_argument("--max-rounds", type=int, default=1000)
-        p.add_argument(
-            "--lifting",
-            choices=[ORDER_DOWN_UP, ORDER_DOWN_ONLY, LIFT_NONE],
-            default=ORDER_DOWN_UP,
-        )
         _add_fw_flags(p)
         _add_output_flags(p)
         p.set_defaults(func=func)

@@ -20,13 +20,10 @@ import numpy as np
 
 from .errors import GapUndefinedError, InfeasibleRelaxationError, InvalidCutError
 from .instances import MkpInstance
-from .lifting import ORDER_DOWN_ONLY, ORDER_DOWN_UP, lift_cut
+from .lifting import lift_cut
 from .lp import STATUS_OPTIMAL, LpProblem, SimplexSolver
-from .oracles import KnapsackOracle, reduce_row
+from .oracles import INTEGRALITY_TOL, KnapsackOracle, reduce_row
 from .separation import FwConfig, separate_lazy_afw
-
-LIFT_NONE = "none"
-_LIFT_CHOICES = (ORDER_DOWN_UP, ORDER_DOWN_ONLY, LIFT_NONE)
 
 STOP_INTEGRAL = "integral"
 STOP_NO_CUTS = "no-cuts"
@@ -35,18 +32,21 @@ STOP_ROUND_LIMIT = "round-limit"
 # absolute slack allowed between a cut's right-hand side and the exact
 # maximum of its left-hand side over the integer points of its row
 CUT_VALIDITY_TOL = 1e-6
+# absolute violation <alpha, x> - beta a cut needs at the LP point to enter
+# the pool
+VIOLATION_THRESHOLD = 1e-6
+# a cut whose unit normal (alpha, beta) / ||(alpha, beta)|| has cosine above
+# 1 - DUPLICATE_COS_TOL with a pooled cut's is a duplicate
+DUPLICATE_COS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LoopConfig:
+    """Root loop settings: at most `max_rounds` separation rounds."""
+
     max_rounds: int = 1000
-    lifting: str = ORDER_DOWN_UP
-    violation_threshold: float = 1e-6
-    integrality_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lifting not in _LIFT_CHOICES:
-            raise ValueError(f"lifting must be one of {_LIFT_CHOICES}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
 
@@ -57,7 +57,6 @@ class CutRecord:
     alpha: np.ndarray
     beta: float
     violation_at_add: float
-    source: str
     round_added: int
 
 
@@ -108,10 +107,9 @@ def build_relaxation(instance: MkpInstance) -> LpProblem:
 class _CutPool:
     """Accepted cuts plus near-duplicate rejection on cosine similarity."""
 
-    def __init__(self, cos_tol: float = 1e-9):
+    def __init__(self):
         self.records: list[CutRecord] = []
         self._normals: list[np.ndarray] = []
-        self._cos_tol = cos_tol
 
     def is_duplicate(self, alpha: np.ndarray, beta: float) -> bool:
         vec = np.concatenate([alpha, [beta]])
@@ -119,7 +117,7 @@ class _CutPool:
         if norm == 0.0:
             return True
         unit = vec / norm
-        return any(float(unit @ u) > 1.0 - self._cos_tol for u in self._normals)
+        return any(float(unit @ u) > 1.0 - DUPLICATE_COS_TOL for u in self._normals)
 
     def add(self, record: CutRecord) -> None:
         vec = np.concatenate([record.alpha, [record.beta]])
@@ -127,41 +125,30 @@ class _CutPool:
         self.records.append(record)
 
 
-def _separate_one_row(instance, row, x, fw_config, loop_config, timings):
+def _separate_one_row(instance, row, x, fw_config, timings):
     """Reduce one knapsack row against x and try to cut x off.
 
-    Returns (attempted, stop_reason, candidate) where candidate is
-    (alpha_full, beta, source) for a cut valid for this row, or None.
-    Time spent lifting is added to timings["lifting_s"].  Raises
-    InvalidCutError when the lifted cut cuts off an integer point of the row.
+    Returns (attempted, stop_reason, lifted) where lifted is the LiftedCut,
+    valid for this row, or None.  Time spent lifting is added to
+    timings["lifting_s"].  Raises InvalidCutError when the lifted cut cuts
+    off an integer point of the row.
     """
-    sub, target = reduce_row(
-        instance.weights[row], int(instance.capacities[row]), x, loop_config.integrality_tol
-    )
+    sub, target = reduce_row(instance.weights[row], int(instance.capacities[row]), x)
     if sub.size == 0:
         return False, None, None
     outcome = separate_lazy_afw(target, KnapsackOracle(sub), fw_config)
     reason = outcome.stats.stop_reason
     if not outcome.is_separated:
         return True, reason, None
-    reduced = outcome.cut
-    if loop_config.lifting == LIFT_NONE:
-        if sub.fixed_one:
-            # Zero-extending a reduced cut is only valid when nothing was
-            # fixed at 1 (otherwise the reduced capacity was smaller).
-            return True, reason, None
-        alpha_full = np.zeros(instance.n)
-        alpha_full[list(sub.index_map)] = reduced.alpha
-        return True, reason, (alpha_full, float(reduced.beta), reduced.source)
     t0 = time.perf_counter()
-    lifted = lift_cut(reduced, sub, order_policy=loop_config.lifting)
+    lifted = lift_cut(outcome.cut, sub)
     timings["lifting_s"] += time.perf_counter() - t0
     if lifted.row_max > lifted.beta_full + CUT_VALIDITY_TOL:
         raise InvalidCutError(
             f"row {row}: lifted cut reaches {lifted.row_max!r} at an integer point "
             f"of the row, above its right-hand side {lifted.beta_full!r}"
         )
-    return True, reason, (lifted.alpha_full, float(lifted.beta_full), "lifted")
+    return True, reason, lifted
 
 
 def root_cut_loop(
@@ -192,7 +179,7 @@ def root_cut_loop(
 
     for round_no in range(1, loop_config.max_rounds + 1):
         x = sol.x
-        frac = np.abs(x - np.round(x)) > loop_config.integrality_tol
+        frac = np.abs(x - np.round(x)) > INTEGRALITY_TOL
         if not np.any(frac):
             integral_root = round_no == 1
             loop_stop = STOP_INTEGRAL
@@ -201,26 +188,26 @@ def root_cut_loop(
 
         t0 = time.perf_counter()
         results = [
-            _separate_one_row(instance, row, x, fw_config, loop_config, timings)
+            _separate_one_row(instance, row, x, fw_config, timings)
             for row in range(instance.m)
         ]
         timings["separation_s"] += time.perf_counter() - t0
 
         new_records = []
-        for row, (attempted, reason, candidate) in enumerate(results):
+        for row, (attempted, reason, lifted) in enumerate(results):
             if not attempted:
                 continue
             separation_calls += 1
             stop_reason_counts[reason] = stop_reason_counts.get(reason, 0) + 1
-            if candidate is None:
+            if lifted is None:
                 continue
-            alpha_full, beta, source = candidate
+            alpha_full, beta = lifted.alpha_full, lifted.beta_full
             violation = float(alpha_full @ x - beta)
-            if violation < loop_config.violation_threshold:
+            if violation < VIOLATION_THRESHOLD:
                 continue
             if pool.is_duplicate(alpha_full, beta):
                 continue
-            record = CutRecord(row, alpha_full, beta, violation, source, round_no)
+            record = CutRecord(row, alpha_full, beta, violation, round_no)
             pool.add(record)
             new_records.append(record)
 
@@ -306,7 +293,7 @@ def audit_report(instance: MkpInstance, report: RootRunReport) -> list[AuditChec
         )
     )
 
-    weak = sum(1 for rec in report.cut_pool if rec.violation_at_add < 1e-6)
+    weak = sum(1 for rec in report.cut_pool if rec.violation_at_add < VIOLATION_THRESHOLD)
     checks.append(
         AuditCheck(
             "cut-violation-at-add",

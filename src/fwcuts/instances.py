@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ParseError
 
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class MkpInstance:
@@ -57,6 +59,8 @@ class _Tokens:
         self._pos = 0
 
     def next_int(self, what: str) -> int:
+        """The next token as an int64 value; integral float spellings such as
+        `7.0` or `1e3` are accepted, `2.5`, `inf` and `nan` are not."""
         if self._pos >= len(self._tokens):
             raise ParseError(f"stream ended while reading {what}", self._pos)
         token = self._tokens[self._pos]
@@ -64,9 +68,14 @@ class _Tokens:
             value = int(token)
         except ValueError:
             try:
-                value = int(float(token))
+                number = float(token)
             except ValueError:
                 raise ParseError(f"expected a number for {what}, got {token!r}", self._pos)
+            if not number.is_integer():
+                raise ParseError(f"expected an integer for {what}, got {token!r}", self._pos)
+            value = int(number)
+        if not _INT64.min <= value <= _INT64.max:
+            raise ParseError(f"{what} {token!r} is outside the int64 range", self._pos)
         self._pos += 1
         return value
 

@@ -10,7 +10,7 @@ deterministic; ties are broken towards the lexicographically smallest vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -23,6 +23,9 @@ from .errors import (
 )
 
 MAX_ENUM_DIMENSION = 25
+# an LP value within this distance of 0 or 1 counts as integral: the driver
+# stops on such points and `reduce_row` fixes such variables
+INTEGRALITY_TOL = 1e-6
 _CHUNK = 1 << 20
 _CACHE_DIMENSION = 20
 
@@ -124,8 +127,9 @@ class KnapsackSubproblem:
     `fixed_zero` and `fixed_one` are the original positions fixed at 0 / 1.
     Together the three sets partition the original index range.  Weights are
     nonnegative integers; zero weights are tolerated (such items never consume
-    capacity).  `row_weights`/`row_capacity` keep the unreduced row so that
-    inequalities over the free variables can later be lifted back.
+    capacity).  The required keywords `row_weights`/`row_capacity` keep the
+    unreduced row so that inequalities over the free variables can later be
+    lifted back.
     """
 
     weights: np.ndarray
@@ -133,8 +137,9 @@ class KnapsackSubproblem:
     index_map: tuple[int, ...]
     fixed_zero: tuple[int, ...] = ()
     fixed_one: tuple[int, ...] = ()
-    row_weights: np.ndarray | None = None
-    row_capacity: int | None = None
+    _: KW_ONLY
+    row_weights: np.ndarray
+    row_capacity: int
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.int64)
@@ -150,17 +155,16 @@ class KnapsackSubproblem:
         all_idx = sorted(self.index_map + self.fixed_zero + self.fixed_one)
         if all_idx != list(range(n)):
             raise ValueError("index_map/fixed_zero/fixed_one must partition the row")
-        if self.row_weights is not None:
-            rw = np.asarray(self.row_weights, dtype=np.int64)
-            object.__setattr__(self, "row_weights", rw)
-            object.__setattr__(self, "row_capacity", int(self.row_capacity))
-            if rw.shape != (n,):
-                raise DimensionMismatchError("row_weights length must be the full row")
-            if np.any(rw[list(self.index_map)] != w):
-                raise ValueError("row_weights disagree with the reduced weights")
-            fixed_load = int(rw[list(self.fixed_one)].sum())
-            if self.row_capacity - fixed_load != self.capacity:
-                raise ValueError("capacity does not match row_capacity minus fixings")
+        rw = np.asarray(self.row_weights, dtype=np.int64)
+        object.__setattr__(self, "row_weights", rw)
+        object.__setattr__(self, "row_capacity", int(self.row_capacity))
+        if rw.shape != (n,):
+            raise DimensionMismatchError("row_weights length must be the full row")
+        if np.any(rw[list(self.index_map)] != w):
+            raise ValueError("row_weights disagree with the reduced weights")
+        fixed_load = int(rw[list(self.fixed_one)].sum())
+        if self.row_capacity - fixed_load != self.capacity:
+            raise ValueError("capacity does not match row_capacity minus fixings")
 
     @classmethod
     def plain(cls, weights, capacity) -> "KnapsackSubproblem":
@@ -262,21 +266,16 @@ def knapsack_dp_lmo(sub: KnapsackSubproblem, direction) -> np.ndarray:
     return KnapsackOracle(sub).minimize(direction)
 
 
-def reduce_row(
-    row_weights,
-    row_capacity: int,
-    lp_point,
-    integrality_tol: float = 1e-6,
-) -> tuple[KnapsackSubproblem, np.ndarray]:
+def reduce_row(row_weights, row_capacity: int, lp_point) -> tuple[KnapsackSubproblem, np.ndarray]:
     """Project one knapsack row onto the fractional support of an LP point.
 
-    Variables at (tolerance-) integral values are fixed: the ones at 1 reduce
-    the capacity, the ones at 0 drop out.  Every fractional variable stays
-    free, even one heavier than the reduced capacity: every reduced-space
-    solution has it at 0, so a cut can charge it, and forcing it to zero
-    would silently drop it from the cut.  Returns the reduced knapsack and
-    the LP point restricted to the free variables; a size-0 subproblem
-    signals that nothing fractional remains.
+    Variables within `INTEGRALITY_TOL` of 0 or 1 are fixed: the ones at 1
+    reduce the capacity, the ones at 0 drop out, both in ascending index
+    order.  Every fractional variable stays free, even one heavier than the
+    reduced capacity: every reduced-space solution has it at 0, so a cut can
+    charge it, and forcing it to zero would silently drop it from the cut.
+    Returns the reduced knapsack and the LP point restricted to the free
+    variables; a size-0 subproblem signals that nothing fractional remains.
     """
     w = np.asarray(row_weights, dtype=np.int64)
     x = np.asarray(lp_point, dtype=np.float64)
@@ -288,8 +287,8 @@ def reduce_row(
     if float(w @ x) > cap + 1e-6 * max(1.0, abs(cap)):
         raise ValueError("LP point violates the row it is being reduced against")
 
-    at_one = x >= 1.0 - integrality_tol
-    at_zero = x <= integrality_tol
+    at_one = x >= 1.0 - INTEGRALITY_TOL
+    at_zero = x <= INTEGRALITY_TOL
     fractional = ~(at_one | at_zero)
 
     reduced_cap = cap - int(w[at_one].sum())

@@ -16,8 +16,11 @@ minimizer v: that certifies the target lies outside the polytope and directly
 yields a valid inequality ``<target - y, x> <= <target - y, v>`` violated by
 the target by at least ``0.5*||target - y||^2``.  Membership is certified by
 f dropping below the tolerance.  The test is sound only against a true oracle
-answer, so on lazy or away iterations a would-fire check triggers one
-confirming oracle call before a cut is emitted.
+answer.  `separate_lazy_afw` runs it on every iteration that calls the oracle
+anyway (forward and dual steps).  A lazy step runs it only when the cached
+vertex's gap is below f, since the true gap is at least that large and the
+test could not fire otherwise; it then pays one confirming oracle call.  Away
+steps never run the test.
 """
 
 from __future__ import annotations

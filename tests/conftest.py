@@ -105,43 +105,33 @@ def _fresh_dp_value(profits, weights, capacity: int) -> float:
     return value
 
 
-def reference_lift_cut(reduced_cut, sub, order_policy="down-up", f1_order=None, f0_order=None):
+def reference_lift_cut(reduced_cut, sub):
     """Sequential lifting with one fresh knapsack DP per fixed variable.
 
     This is the direct O(n^2 * C) algorithm that `fwcuts.lifting.lift_cut`
-    must reproduce bit for bit.  Returns (alpha_full, beta_full,
-    lifted_coeffs, order_used); the policy is "down-up" or "down".
+    must reproduce bit for bit: `sub.fixed_one` is down-lifted and then
+    `sub.fixed_zero` up-lifted, in stored order.  Returns (alpha_full,
+    beta_full).
     """
-    f1 = tuple(f1_order) if f1_order is not None else sub.fixed_one
-    f0 = tuple(f0_order) if f0_order is not None else sub.fixed_zero
     row_w = sub.row_weights
     alpha_full = np.zeros(sub.original_dimension)
     alpha_full[list(sub.index_map)] = np.asarray(reduced_cut.alpha, dtype=np.float64)
     rhs = float(reduced_cut.beta)
     capacity = sub.capacity
     processed = list(sub.index_map)
-    lifted = {}
-    order_used = []
-    for j in f1:
+    for j in sub.fixed_one:
         z = _fresh_dp_value(alpha_full[processed], row_w[processed], capacity + int(row_w[j]))
         beta_j = z - rhs
         rhs = rhs + beta_j
         capacity += int(row_w[j])
         alpha_full[j] = beta_j
-        lifted[j] = beta_j
         processed.append(j)
-        order_used.append(j)
-    for j in f0:
-        if order_policy != "down-up":
-            lifted[j] = 0.0
-            continue
+    for j in sub.fixed_zero:
         z = _fresh_dp_value(alpha_full[processed], row_w[processed], capacity - int(row_w[j]))
         beta_j = rhs - z
         alpha_full[j] = beta_j
-        lifted[j] = beta_j
         processed.append(j)
-        order_used.append(j)
-    return alpha_full, rhs, lifted, tuple(order_used)
+    return alpha_full, rhs
 
 
 def _affine_min(P: np.ndarray, point: np.ndarray) -> np.ndarray:

@@ -125,16 +125,25 @@ class TestRootGapCommand:
         bad.write_text("1  2 1 10  6 4  3")
         assert main(["root-gap", str(bad)]) == 2
 
+    def test_non_integral_or_out_of_range_token_exits_two(self, tmp_path, capsys):
+        # exit 1 would read as `separate`'s membership verdict
+        bad = tmp_path / "bad.mknap"
+        for token in ("inf", "99999999999999999999", "2.5"):
+            bad.write_text(f"1  2 1 10  6 {token}  3 5  7")
+            assert main(["root-gap", str(bad)]) == 2
+            assert "at token 5" in capsys.readouterr().err
+
     def test_out_file(self, micro_file, tmp_path):
         out = tmp_path / "report.json"
         assert main(["root-gap", micro_file, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["command"] == "root-gap"
 
     def test_rejects_separator_variant_flags(self, micro_file, capsys):
-        # the root loop runs only the lazy away-step separator with the early stop
-        for flag in ("--vanilla", "--no-lazy", "--no-early-stop"):
+        # the root loop runs only the lazy away-step separator with the early
+        # stop, and lifts every cut the one way
+        for flag in ("--vanilla", "--no-lazy", "--no-early-stop", "--lifting down"):
             with pytest.raises(SystemExit) as exc:
-                main(["root-gap", micro_file, flag])
+                main(["root-gap", micro_file, *flag.split()])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

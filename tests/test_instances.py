@@ -38,8 +38,18 @@ class TestParseMknap:
         assert inst.known_optimum is None
 
     def test_non_numeric_token(self):
-        with pytest.raises(ParseError):
-            parse_mknap("1  2 1 10  6 x  3 5  7")
+        # also non-finite, non-integral and beyond-int64 numbers: none of them
+        # may crash the parser or be silently truncated
+        for token in ("x", "inf", "-inf", "nan", "2.5", "99999999999999999999",
+                      "-9223372036854775809"):
+            with pytest.raises(ParseError) as err:
+                parse_mknap(f"1  2 1 10  6 {token}  3 5  7")
+            assert err.value.token_offset == 5, token
+
+    def test_integral_float_spellings(self):
+        inst = parse_mknap("1  2 1 1e1  6 4.0  3 5  7")[0]
+        assert inst.known_optimum == 10
+        assert np.array_equal(inst.profits, [6, 4])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 100_000))

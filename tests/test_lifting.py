@@ -3,7 +3,7 @@ import pytest
 
 import fwcuts.driver as driver
 from fwcuts.driver import LoopConfig, root_cut_loop
-from fwcuts.lifting import ORDER_DOWN_ONLY, ORDER_DOWN_UP, downlift, lift_cut, uplift
+from fwcuts.lifting import lift_cut
 from fwcuts.oracles import KnapsackOracle, KnapsackSubproblem, knapsack_dp_max, reduce_row
 from fwcuts.separation import Cut, FwConfig, separate_lazy_afw
 
@@ -19,49 +19,13 @@ def max_lhs(alpha, weights, capacity):
     return float(np.max(V @ np.asarray(alpha, dtype=float)))
 
 
-class TestUplift:
-    def test_item_heavier_than_capacity_gets_rhs(self):
-        beta = uplift([1.0, 1.0], [4, 4], rhs=2.0, capacity=8, item_weight=9)
-        assert beta == 2.0
-
-    def test_cover_inequality_example(self):
-        # x1+x2+x3 <= 2 valid for w=(4,4,4), C=8; introduce an item of weight 8
-        beta = uplift([1.0, 1.0, 1.0], [4, 4, 4], rhs=2.0, capacity=8, item_weight=8)
-        assert beta == 2.0
-        alpha = np.array([1.0, 1.0, 1.0, beta])
-        assert max_lhs(alpha, [4, 4, 4, 8], 8) <= 2.0 + 1e-12
-
-    def test_zero_alpha_degenerate(self):
-        beta = uplift([0.0, 0.0], [3, 3], rhs=1.5, capacity=6, item_weight=2)
-        assert beta == 1.5
-        assert max_lhs([0.0, 0.0, 1.5], [3, 3, 2], 6) <= 1.5 + 1e-12
-
-
-class TestDownlift:
-    def test_non_binding_release_is_zero(self):
-        # freeing a weight-0 item leaves the reachable maximum unchanged
-        beta, new_rhs = downlift([1.0, 1.0], [2, 3], rhs=1.0, capacity_when_fixed=3, item_weight=0)
-        assert beta == pytest.approx(0.0) and new_rhs == pytest.approx(1.0)
-
-    def test_documented_example(self):
-        # x2+x3 <= 1 valid for w=(3,3), C=3 (that is, x1 fixed at 1 of C=6)
-        assert max_lhs([1.0, 1.0], [3, 3], 3) == 1.0
-        beta, new_rhs = downlift([1.0, 1.0], [3, 3], rhs=1.0, capacity_when_fixed=3, item_weight=3)
-        assert beta == 1.0 and new_rhs == 2.0
-        assert max_lhs([1.0, 1.0, 1.0], [3, 3, 3], 6) <= 2.0 + 1e-12
-
-    def test_empty_processed_set(self):
-        beta, new_rhs = downlift([], [], rhs=0.0, capacity_when_fixed=4, item_weight=3)
-        assert beta == 0.0 and new_rhs == 0.0
-
-
 class TestLiftCut:
     def test_identity_when_nothing_fixed(self):
         sub = KnapsackSubproblem.plain([2, 3], 4)
         lifted = lift_cut(make_cut([1.0, 0.5], 1.0), sub)
         assert np.array_equal(lifted.alpha_full, [1.0, 0.5])
         assert lifted.beta_full == 1.0
-        assert lifted.order_used == ()
+        assert lifted.row_max == 1.0
 
     def test_embedded_downlift_example(self):
         sub, target = reduce_row([3, 3, 3], 6, np.array([1.0, 0.5, 0.5]))
@@ -75,21 +39,9 @@ class TestLiftCut:
         sub, _ = reduce_row([2, 5, 4], 9, np.array([1.0, 0.5, 0.0]))
         cut = make_cut([0.7], 0.2)
         lifted = lift_cut(cut, sub)
-        down = sum(lifted.lifted_coeffs[j] for j in sub.fixed_one)
+        down = sum(lifted.alpha_full[j] for j in sub.fixed_one)
         assert lifted.beta_full == pytest.approx(cut.beta + down)
         assert np.allclose(lifted.alpha_full[list(sub.index_map)], cut.alpha)
-
-    def test_down_only_leaves_zero_coefficients(self):
-        sub, _ = reduce_row([2, 5, 4], 9, np.array([1.0, 0.5, 0.0]))
-        lifted = lift_cut(make_cut([0.7], 0.2), sub, order_policy=ORDER_DOWN_ONLY)
-        assert lifted.alpha_full[2] == 0.0
-        assert lifted.lifted_coeffs[2] == 0.0
-        assert 2 not in lifted.order_used
-
-    def test_rejects_foreign_order(self):
-        sub, _ = reduce_row([2, 5, 4], 9, np.array([1.0, 0.5, 0.0]))
-        with pytest.raises(ValueError):
-            lift_cut(make_cut([0.7], 0.2), sub, f1_order=[2])
 
 
 def _random_pipeline_case(rng, n_max=14):
@@ -123,17 +75,11 @@ class TestLiftingPipeline:
             w, cap, x, sub, target, reduced = case
             reduced_violation = float(reduced.alpha @ target - reduced.beta)
             V = feasible_points(w, cap)
-            for policy in (ORDER_DOWN_UP, ORDER_DOWN_ONLY):
-                for _ in range(3):
-                    f1 = list(sub.fixed_one)
-                    f0 = list(sub.fixed_zero)
-                    rng.shuffle(f1)
-                    rng.shuffle(f0)
-                    lifted = lift_cut(reduced, sub, policy, f1_order=f1, f0_order=f0)
-                    assert float(np.max(V @ lifted.alpha_full)) <= lifted.beta_full + 1e-9
-                    assert lifted.violation(x) == pytest.approx(
-                        reduced_violation, abs=1e-9
-                    )
+            lifted = lift_cut(reduced, sub)
+            assert float(np.max(V @ lifted.alpha_full)) <= lifted.beta_full + 1e-9
+            assert float(lifted.alpha_full @ x - lifted.beta_full) == pytest.approx(
+                reduced_violation, abs=1e-9
+            )
 
     def test_dp_certificate_on_larger_rows(self, rng):
         done = 0
@@ -149,6 +95,9 @@ class TestLiftingPipeline:
             assert lifted.row_max == best
 
     def test_each_partial_step_stays_valid(self, rng):
+        # every prefix of the lifting sequence is valid for the partially
+        # freed knapsack: the free and introduced items, with the weight of
+        # the one-fixed items not yet introduced still taken off the capacity
         done = 0
         while done < 8:
             case = _random_pipeline_case(rng, n_max=10)
@@ -156,39 +105,28 @@ class TestLiftingPipeline:
                 continue
             done += 1
             w, cap, _, sub, _, reduced = case
-            alpha = np.zeros(len(w))
-            alpha[list(sub.index_map)] = reduced.alpha
+            lifted = lift_cut(reduced, sub)
+            alpha = lifted.alpha_full
             rhs = float(reduced.beta)
             capacity = sub.capacity
             processed = list(sub.index_map)
             for j in sub.fixed_one:
-                beta_j, rhs = downlift(
-                    alpha[processed], w[processed], rhs, capacity, int(w[j])
-                )
+                rhs += alpha[j]
                 capacity += int(w[j])
-                alpha[j] = beta_j
                 processed.append(j)
-                # the partially-freed knapsack: processed items, remaining
-                # F1 weight still subtracted from the row capacity
                 V = feasible_points(w[processed], capacity)
                 assert float(np.max(V @ alpha[processed])) <= rhs + 1e-9
+            assert rhs == lifted.beta_full
             for j in sub.fixed_zero:
-                alpha[j] = uplift(alpha[processed], w[processed], rhs, capacity, int(w[j]))
                 processed.append(j)
                 V = feasible_points(w[processed], capacity)
                 assert float(np.max(V @ alpha[processed])) <= rhs + 1e-9
 
 
 def _same_bits(lifted, reference):
-    alpha_full, beta_full, coeffs, order_used = reference
+    alpha_full, beta_full = reference
     assert lifted.alpha_full.tobytes() == alpha_full.tobytes()
     assert np.float64(lifted.beta_full).tobytes() == np.float64(beta_full).tobytes()
-    assert list(lifted.lifted_coeffs) == list(coeffs)
-    assert (
-        np.array(list(lifted.lifted_coeffs.values()), dtype=np.float64).tobytes()
-        == np.array(list(coeffs.values()), dtype=np.float64).tobytes()
-    )
-    assert lifted.order_used == order_used
 
 
 def _random_lifting_case(seed):
@@ -214,62 +152,49 @@ def _random_lifting_case(seed):
     alpha[rng.random(len(free)) < 0.2] = 0.0
     alpha[0] = abs(alpha[0]) + 0.1
     beta = float(rng.uniform(-0.5, 1.5) * np.abs(alpha).sum())
-    return sub, make_cut(alpha, beta), rng
+    return sub, make_cut(alpha, beta)
 
 
 class TestIncrementalTableMatchesFreshDp:
     """`lift_cut` against `reference_lift_cut`, byte for byte."""
 
     def test_random_subproblems(self):
-        seen = {"zero-weight": 0, "heavier-than-row": 0, "negative-downlift": 0, "shuffled": 0}
+        seen = {"zero-weight": 0, "heavier-than-row": 0, "negative-down-lifting": 0}
         for seed in range(240):
-            sub, cut, rng = _random_lifting_case(seed)
-            f1, f0 = list(sub.fixed_one), list(sub.fixed_zero)
-            if seed % 2:
-                rng.shuffle(f1)
-                rng.shuffle(f0)
-                seen["shuffled"] += int(f1 != sorted(f1) or f0 != sorted(f0))
-            for policy in (ORDER_DOWN_UP, ORDER_DOWN_ONLY):
-                lifted = lift_cut(cut, sub, policy, f1_order=f1, f0_order=f0)
-                _same_bits(lifted, reference_lift_cut(cut, sub, policy, f1, f0))
+            sub, cut = _random_lifting_case(seed)
+            lifted = lift_cut(cut, sub)
+            _same_bits(lifted, reference_lift_cut(cut, sub))
             w = sub.row_weights
             seen["zero-weight"] += int(np.any(w == 0))
             seen["heavier-than-row"] += int(np.any(w > sub.row_capacity))
-            seen["negative-downlift"] += int(any(lifted.lifted_coeffs[j] < 0 for j in f1))
+            negative = any(lifted.alpha_full[j] < 0 for j in sub.fixed_one)
+            seen["negative-down-lifting"] += int(negative)
         assert min(seen.values()) >= 20, seen
 
     def test_cuts_of_real_separations(self, monkeypatch):
         calls = []
 
-        def recording(reduced, sub, **kwargs):
+        def recording(reduced, sub):
             calls.append((reduced, sub))
-            return lift_cut(reduced, sub, **kwargs)
+            return lift_cut(reduced, sub)
 
         monkeypatch.setattr(driver, "lift_cut", recording)
         instance = cb_style_instance(MICROBENCH_SEED)
         root_cut_loop(instance, FwConfig(max_iters=500), LoopConfig(max_rounds=4))
         assert len(calls) >= 10
-        rng = np.random.default_rng(3)
         for reduced, sub in calls:
-            f1, f0 = list(sub.fixed_one), list(sub.fixed_zero)
-            for policy in (ORDER_DOWN_UP, ORDER_DOWN_ONLY):
-                _same_bits(lift_cut(reduced, sub, policy), reference_lift_cut(reduced, sub, policy))
-            rng.shuffle(f1)
-            rng.shuffle(f0)
-            lifted = lift_cut(reduced, sub, f1_order=f1, f0_order=f0)
-            _same_bits(lifted, reference_lift_cut(reduced, sub, ORDER_DOWN_UP, f1, f0))
+            _same_bits(lift_cut(reduced, sub), reference_lift_cut(reduced, sub))
 
 
 class TestRowMaxCertificate:
     def test_row_max_is_the_enumerated_maximum(self):
         checked = 0
         for seed in range(300, 400):
-            sub, cut, _ = _random_lifting_case(seed)
+            sub, cut = _random_lifting_case(seed)
             if sub.original_dimension > 12:
                 continue
             checked += 1
-            for policy in (ORDER_DOWN_UP, ORDER_DOWN_ONLY):
-                lifted = lift_cut(cut, sub, policy)
-                best = max_lhs(lifted.alpha_full, sub.row_weights, sub.row_capacity)
-                assert lifted.row_max == pytest.approx(best, rel=1e-12, abs=1e-12)
+            lifted = lift_cut(cut, sub)
+            best = max_lhs(lifted.alpha_full, sub.row_weights, sub.row_capacity)
+            assert lifted.row_max == pytest.approx(best, rel=1e-12, abs=1e-12)
         assert checked >= 30
