@@ -22,20 +22,17 @@ from .errors import (
 )
 from .instances import MkpInstance, load_gap_optima, parse_gap, parse_mknap
 from .lifting import LiftedCut, lift_cut
-from .lp import LpProblem, LpSolution, MembershipResult, SimplexSolver, membership_test, solve
+from .lp import LpProblem, LpSolution, MembershipResult, SimplexSolver, membership_test
 from .oracles import (
     EnumerationOracle,
     KnapsackOracle,
     KnapsackSubproblem,
     LinearMinimizationOracle,
-    enumerate_lmo,
-    knapsack_dp_lmo,
     knapsack_dp_max,
     reduce_row,
 )
 from .separation import (
     ActiveSet,
-    ConvergenceBound,
     Cut,
     FwConfig,
     Membership,

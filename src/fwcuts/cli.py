@@ -9,12 +9,15 @@ Exit codes: `separate` uses 0 = separated, 1 = membership (or undecided),
 2 = error.  `root-gap` uses 0 = ok, 2 = error.  `audit` uses
 0 = all checks passed, 3 = a named invariant failed, 2 = error.
 
+`--max-iters` is the separator's only setting; `separate --vanilla` swaps
+the production solver for the plain one with agnostic steps.
+
 File formats are whitespace-separated numbers throughout:
   point file      k floats
-  knapsack file   k C w_1 ... w_k
+  knapsack file   k C w_1 ... w_k (integers, read like instance files)
   instance files  see `instances` module (mknap / gap)
-JSON schemas are versioned; `--no-timings` omits wall-clock fields so that
-identical runs produce byte-identical output.
+JSON schemas are versioned; `root-gap --no-timings` omits wall-clock fields
+so that identical runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .driver import LoopConfig, RootRunReport, audit_report, root_cut_loop
 from .errors import FwcutsError
-from .instances import load_gap_optima, parse_gap, parse_mknap
+from .instances import _Tokens, load_gap_optima, parse_gap, parse_mknap
 from .oracles import KnapsackOracle, KnapsackSubproblem
 from .separation import (
     FwConfig,
@@ -51,22 +54,13 @@ EXIT_ERROR = 2
 EXIT_AUDIT_FAILED = 3
 
 
-def _add_fw_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument(
-        "--step-rule", choices=["line-search", "agnostic"], default="line-search"
-    )
+    p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
 
 
 def _fw_config(args) -> FwConfig:
-    return FwConfig(max_iters=args.max_iters, epsilon=args.epsilon, step_rule=args.step_rule)
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--csv", action="store_true", help="emit CSV rows")
-    p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
-    p.add_argument("--no-timings", action="store_true", help="omit wall-clock fields")
+    return FwConfig(max_iters=args.max_iters)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -92,13 +86,15 @@ def _read_instances(path: str, fmt: str):
 def cmd_separate(args) -> int:
     with open(args.point) as fh:
         point = np.array([float(t) for t in fh.read().split()])
-    with open(args.knapsack) as fh:
-        tokens = [int(t) for t in fh.read().split()]
-    if len(tokens) < 2 or len(tokens) != 2 + tokens[0]:
+    with open(args.knapsack, "rb") as fh:
+        tokens = _Tokens(fh.read())
+    k = tokens.next_int("item count k")
+    cap = tokens.next_int("capacity C")
+    if tokens.remaining() != k:
         raise FwcutsError(
             "knapsack file must hold: k C w_1 ... w_k with exactly k weights"
         )
-    k, cap, weights = tokens[0], tokens[1], tokens[2:]
+    weights = tokens.next_ints(k, "weight w_j")
     if len(point) != k:
         raise FwcutsError(f"point has dimension {len(point)}, knapsack has {k} items")
     sub = KnapsackSubproblem.plain(weights, cap)
@@ -343,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="plain conditional gradients without away steps or an active set",
     )
-    _add_fw_flags(p_sep)
-    _add_output_flags(p_sep)
+    _add_common_flags(p_sep)
     p_sep.set_defaults(func=cmd_separate)
 
     for name, func, help_text in (
@@ -356,8 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["mknap", "gap"], default="mknap")
         p.add_argument("--optima", default=None, help="sidecar file of known optima")
         p.add_argument("--max-rounds", type=int, default=1000)
-        _add_fw_flags(p)
-        _add_output_flags(p)
+        _add_common_flags(p)
+        if name == "root-gap":
+            p.add_argument("--csv", action="store_true", help="emit CSV rows")
+            p.add_argument("--no-timings", action="store_true", help="omit wall-clock fields")
         p.set_defaults(func=func)
 
     return parser

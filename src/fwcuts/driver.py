@@ -32,6 +32,10 @@ STOP_ROUND_LIMIT = "round-limit"
 # absolute slack allowed between a cut's right-hand side and the exact
 # maximum of its left-hand side over the integer points of its row
 CUT_VALIDITY_TOL = 1e-6
+# absolute slack in every comparison of LP bounds with each other or with the
+# known optimum: the gap-closed sandwich, the bound-increase check after
+# adding cuts, and the audit's monotone-bound and lp-sandwich checks
+BOUND_TOL = 1e-6
 # absolute violation <alpha, x> - beta a cut needs at the LP point to enter
 # the pool
 VIOLATION_THRESHOLD = 1e-6
@@ -86,7 +90,7 @@ class RootRunReport:
 def gap_closed(p: float, d_lp: float, d_r: float) -> float:
     """Percentage of the root integrality gap closed by the cuts:
     100 - 100 * (p - d_r) / (p - d_lp)."""
-    if not (p <= d_r + 1e-6 and d_r <= d_lp + 1e-6):
+    if not (p <= d_r + BOUND_TOL and d_r <= d_lp + BOUND_TOL):
         raise ValueError(f"expected p <= d_r <= d_lp, got p={p}, d_r={d_r}, d_lp={d_lp}")
     if abs(d_lp - p) <= 1e-12:
         raise GapUndefinedError("first relaxation already matches the optimum")
@@ -223,7 +227,7 @@ def root_cut_loop(
             raise InvalidCutError(
                 f"relaxation ended {sol.status} after adding cuts; a cut must be invalid"
             )
-        if sol.objective_value > bound_history[-1] + 1e-6:
+        if sol.objective_value > bound_history[-1] + BOUND_TOL:
             raise InvalidCutError(
                 "bound increased after adding cuts; a cut must be invalid"
             )
@@ -304,14 +308,14 @@ def audit_report(instance: MkpInstance, report: RootRunReport) -> list[AuditChec
     )
 
     hist = np.asarray(report.bound_history)
-    monotone = bool(np.all(np.diff(hist) <= 1e-6)) if len(hist) > 1 else True
+    monotone = bool(np.all(np.diff(hist) <= BOUND_TOL)) if len(hist) > 1 else True
     checks.append(
         AuditCheck("monotone-bound", monotone, max(len(hist) - 1, 0), "bound increased")
     )
 
     if report.known_optimum is not None:
         p = float(report.known_optimum)
-        ok = bool(np.all(hist >= p - 1e-6)) and report.d_lp >= report.d_r - 1e-6
+        ok = bool(np.all(hist >= p - BOUND_TOL)) and report.d_lp >= report.d_r - BOUND_TOL
         checks.append(
             AuditCheck(
                 "lp-sandwich",

@@ -70,7 +70,6 @@ class LpSolution:
     status: str
     x: np.ndarray
     objective_value: float
-    duals: np.ndarray | None = None
 
 
 class SimplexSolver:
@@ -145,7 +144,7 @@ class SimplexSolver:
         if self.m == 0:
             self._at_upper[: self._n] = self._c_struct > 0
             x = self._structural_solution()
-            return LpSolution(STATUS_OPTIMAL, x, float(self._c_struct @ x), np.zeros(0))
+            return LpSolution(STATUS_OPTIMAL, x, float(self._c_struct @ x))
         self._refactor()
         x_basic = self._basic_values()
         if np.any(x_basic < -_FEASIBILITY_TOL):
@@ -158,8 +157,7 @@ class SimplexSolver:
         if status == STATUS_UNBOUNDED:
             return LpSolution(STATUS_UNBOUNDED, np.full(self._n, np.nan), np.inf)
         x = self._structural_solution()
-        duals = costs[self._basis] @ self._B_inv
-        return LpSolution(STATUS_OPTIMAL, x, float(self._c_struct @ x), duals.copy())
+        return LpSolution(STATUS_OPTIMAL, x, float(self._c_struct @ x))
 
     def _phase_one(self, violated: np.ndarray) -> str:
         for slot in np.flatnonzero(violated):
@@ -301,11 +299,6 @@ class SimplexSolver:
         self._B_inv[others, :] -= np.outer(w[others], self._B_inv[slot, :])
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """One-shot solve of an LpProblem."""
-    return SimplexSolver(problem).solve()
-
-
 class MembershipResult(NamedTuple):
     inside: bool
     distance_lb: float
@@ -336,7 +329,7 @@ def membership_test(point, vertices) -> MembershipResult:
     ones = np.concatenate([np.ones(nv), [0.0]])
     rows.append((ones, 1.0))
     rows.append((-ones, -1.0))
-    sol = solve(LpProblem(c, tuple(rows)))
+    sol = SimplexSolver(LpProblem(c, tuple(rows))).solve()
     if sol.status != STATUS_OPTIMAL:
         raise NumericalInstabilityError(f"membership LP ended {sol.status}")
     t = max(-sol.objective_value, 0.0)

@@ -1,7 +1,7 @@
 """Linear minimization oracles over implicitly-described 0/1 polytopes.
 
-Two oracle families are provided: an enumeration oracle that works for any
-bounded feasibility predicate on {0,1}^k (meant for testing and small
+Two oracle families are provided: an enumeration oracle over the points of
+{0,1}^k that a vectorized predicate accepts (meant for testing and small
 subproblems), and a dynamic-programming oracle for single-row 0/1 knapsacks,
 which is the one used by the cutting-plane driver.  Both are exact and
 deterministic; ties are broken towards the lexicographically smallest vector
@@ -53,7 +53,10 @@ def binary_vectors(k: int, start: int = 0, stop: int | None = None) -> np.ndarra
 
 
 class EnumerationOracle:
-    """Exact LMO over {x in {0,1}^k : predicate(x)} by full enumeration.
+    """Exact LMO over {x in {0,1}^k : batch_predicate(x)} by full enumeration.
+
+    `batch_predicate` maps a matrix of 0/1 rows to a boolean mask; without
+    one the whole cube is feasible.
 
     Guarded at k <= 25 to avoid blow-up.  The vertex listing and feasibility
     mask are cached for small k, so repeated `minimize` calls are two
@@ -64,7 +67,6 @@ class EnumerationOracle:
     def __init__(
         self,
         dimension: int,
-        predicate: Callable[[np.ndarray], bool] | None = None,
         batch_predicate: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         if dimension < 1 or dimension > MAX_ENUM_DIMENSION:
@@ -72,7 +74,6 @@ class EnumerationOracle:
                 f"enumeration supports 1 <= k <= {MAX_ENUM_DIMENSION}, got {dimension}"
             )
         self.dimension = int(dimension)
-        self._predicate = predicate
         self._batch_predicate = batch_predicate
         self._vertices: np.ndarray | None = None
 
@@ -85,10 +86,6 @@ class EnumerationOracle:
     def _mask(self, pts: np.ndarray) -> np.ndarray:
         if self._batch_predicate is not None:
             return np.asarray(self._batch_predicate(pts), dtype=bool)
-        if self._predicate is not None:
-            return np.fromiter(
-                (bool(self._predicate(p)) for p in pts), dtype=bool, count=len(pts)
-            )
         return np.ones(len(pts), dtype=bool)
 
     def feasible_vertices(self) -> np.ndarray:
@@ -250,20 +247,6 @@ class KnapsackOracle:
             )
         _, solution = knapsack_dp_max(self.subproblem, -direction)
         return solution
-
-
-def enumerate_lmo(direction, predicate=None, batch_predicate=None) -> np.ndarray:
-    """One-shot enumeration argmin of <direction, x> over feasible 0/1 points."""
-    direction = np.asarray(direction, dtype=np.float64)
-    oracle = EnumerationOracle(
-        len(direction), predicate=predicate, batch_predicate=batch_predicate
-    )
-    return oracle.minimize(direction)
-
-
-def knapsack_dp_lmo(sub: KnapsackSubproblem, direction) -> np.ndarray:
-    """One-shot DP argmin of <direction, x> over the knapsack's 0/1 points."""
-    return KnapsackOracle(sub).minimize(direction)
 
 
 def reduce_row(row_weights, row_capacity: int, lp_point) -> tuple[KnapsackSubproblem, np.ndarray]:

@@ -2,31 +2,32 @@
 
 The projection of a target point onto the polytope is computed by conditional
 gradients: minimize f(y) = 0.5*||y - target||^2 using only a linear
-minimization oracle.  Two solvers are provided;
+minimization oracle.  Two solvers are provided, each with its own step size:
 
-* `separate_vanilla` is the plain method (one oracle call per iteration),
-  kept mainly to exercise the worst-case iteration bound, and
+* `separate_vanilla` is the plain method (one oracle call per iteration)
+  with the agnostic step 2/(t+2), for which `iteration_bound` is stated, and
 * `separate_lazy_afw` is the production solver: away steps over an explicit
   active set, lazification (reuse of cached vertices below a decaying
-  threshold phi), and the same early-termination test.
+  threshold phi), the closed-form line search (f is quadratic), and the same
+  early-termination test.
 
 Both stop as soon as the duality test
 ``<y - target, y - v> < 0.5*||target - y||^2`` holds for a genuine oracle
 minimizer v: that certifies the target lies outside the polytope and directly
 yields a valid inequality ``<target - y, x> <= <target - y, v>`` violated by
 the target by at least ``0.5*||target - y||^2``.  Membership is certified by
-f dropping below the tolerance.  The test is sound only against a true oracle
-answer.  `separate_lazy_afw` runs it on every iteration that calls the oracle
-anyway (forward and dual steps).  A lazy step runs it only when the cached
-vertex's gap is below f, since the true gap is at least that large and the
-test could not fire otherwise; it then pays one confirming oracle call.  Away
-steps never run the test.
+f dropping below `MEMBERSHIP_EPSILON`.  The test is sound only against a true
+oracle answer.  `separate_lazy_afw` runs it on every iteration that calls the
+oracle anyway (forward and dual steps).  A lazy step runs it only when the
+cached vertex's gap is below f, since the true gap is at least that large and
+the test could not fire otherwise; it then pays one confirming oracle call.
+Away steps never run the test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,38 +43,30 @@ STOP_EARLY_CRITERION = "early-criterion"
 STOP_ZERO_GRADIENT = "zero-gradient"
 STOP_ITERATION_LIMIT = "iteration-limit"
 
-STEP_LINE_SEARCH = "line-search"
-STEP_AGNOSTIC = "agnostic"
-
 _DROP_WEIGHT = 1e-12
 _WEIGHT_DRIFT_ERROR = 1e-6
 _INITIAL_ROWS = 16
 # divides phi in the cached-step thresholds and in the dual-step update
 LAZIFICATION_FACTOR = 2.0
+# a run certifies membership once f = 0.5*||target - y||^2 falls below this,
+# i.e. once the iterate is within sqrt(2e-9) of the target
+MEMBERSHIP_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
 class FwConfig:
-    """Solver knobs.
+    """Solver budget.
 
-    `step_rule` is "line-search" (closed form, since f is quadratic) or
-    "agnostic" (2/(t+2)).  Both solvers stop on membership (f below
-    `epsilon`), on the duality test, or after `max_iters` iterations.  Every
-    run starts at the vertex maximizing <target, v>.
+    Both solvers stop on membership (f below `MEMBERSHIP_EPSILON`), on the
+    duality test, or after `max_iters` iterations.  Every run starts at the
+    vertex maximizing <target, v>.
     """
 
     max_iters: int = 10_000
-    epsilon: float = 1e-9
-    step_rule: str = STEP_LINE_SEARCH
-    record_trace: bool = False  # per-iteration (f, step kind) in the stats
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.step_rule not in (STEP_LINE_SEARCH, STEP_AGNOSTIC):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,6 @@ class SeparationStats:
     dual_steps: int
     stop_reason: str
     final_f: float
-    trace: tuple[tuple[float, str], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -294,18 +286,6 @@ def iteration_bound(diameter_sq: float, dist_sq: float) -> int:
     return max(1, math.ceil(8.0 * diameter_sq / dist_sq - 3.0))
 
 
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """Certification horizon for the agnostic-step solver."""
-
-    diameter_sq: float
-    dist_sq: float
-
-    @property
-    def T(self) -> int:
-        return iteration_bound(self.diameter_sq, self.dist_sq)
-
-
 @dataclass
 class _RunState:
     target: np.ndarray
@@ -317,15 +297,6 @@ class _RunState:
     dual_steps: int = 0
     memo_y: np.ndarray | None = None
     memo_v: np.ndarray | None = None
-    trace: list[tuple[float, str]] | None = None
-
-    def __post_init__(self):
-        if self.config.record_trace:
-            self.trace = []
-
-    def record(self, f: float, kind: str) -> None:
-        if self.trace is not None:
-            self.trace.append((f, kind))
 
     def call_oracle(self, y: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         """Genuine LMO call, memoized on the iterate (the init call and the
@@ -347,7 +318,6 @@ class _RunState:
             dual_steps=self.dual_steps,
             stop_reason=stop_reason,
             final_f=final_f,
-            trace=tuple(self.trace) if self.trace is not None else None,
         )
 
 
@@ -370,9 +340,8 @@ def _initial_vertex(x: np.ndarray, state: _RunState) -> np.ndarray:
     return v
 
 
-def _step_size(config: FwConfig, t: int, x, y, direction, gamma_max: float) -> float:
-    if config.step_rule == STEP_AGNOSTIC:
-        return min(2.0 / (t + 2.0), gamma_max)
+def _line_search(x, y, direction, gamma_max: float) -> float:
+    """Exact minimizer of f(y + gamma * direction) over [0, gamma_max]."""
     denom = float(direction @ direction)
     if denom <= 0.0:
         return 0.0
@@ -387,7 +356,7 @@ def _limit_outcome(state: _RunState, y: np.ndarray, f: float) -> SeparationOutco
     inequality; if the target violates it we can return a cut after all.
     """
     x = state.target
-    if f < state.config.epsilon:
+    if f < MEMBERSHIP_EPSILON:
         stats = state.stats(state.config.max_iters, STOP_EPSILON_MEMBERSHIP, f)
         return SeparationOutcome(Membership(f), stats)
     gradient = y - x
@@ -410,27 +379,25 @@ def _membership_outcome(state, t, f) -> SeparationOutcome:
 def separate_vanilla(
     target, oracle: LinearMinimizationOracle, config: FwConfig | None = None
 ) -> SeparationOutcome:
-    """Plain conditional-gradient separation (one oracle call per iteration)."""
+    """Plain conditional-gradient separation: one oracle call and the agnostic
+    step 2/(t+2) per iteration."""
     config = config or FwConfig()
-    state = _RunState(target=np.empty(0), oracle=oracle, config=config)
     x = _validate_inputs(target, oracle)
-    state.target = x
+    state = _RunState(target=x, oracle=oracle, config=config)
     y = _initial_vertex(x, state)
 
     for t in range(config.max_iters):
         diff = x - y
         f = 0.5 * float(diff @ diff)
-        if f == 0.0 or f < config.epsilon:
+        if f == 0.0 or f < MEMBERSHIP_EPSILON:
             return _membership_outcome(state, t, f)
         gradient = y - x
         v = state.call_oracle(y, gradient)
         fired, cut = early_stop_check(y, x, v)
         if fired:
             return SeparationOutcome(Separated(cut), state.stats(t, STOP_EARLY_CRITERION, f))
-        state.record(f, "fw")
-        direction = v - y
-        gamma = _step_size(config, t, x, y, direction, 1.0)
-        y = y + gamma * direction
+        gamma = 2.0 / (t + 2.0)
+        y = y + gamma * (v - y)
 
     diff = x - y
     return _limit_outcome(state, y, 0.5 * float(diff @ diff))
@@ -440,11 +407,10 @@ def separate_lazy_afw(
     target, oracle: LinearMinimizationOracle, config: FwConfig | None = None
 ) -> SeparationOutcome:
     """Away-step conditional gradients with an explicit active set, lazy
-    vertex reuse, and duality-based early termination."""
+    vertex reuse, line-search steps and duality-based early termination."""
     config = config or FwConfig()
-    state = _RunState(target=np.empty(0), oracle=oracle, config=config)
     x = _validate_inputs(target, oracle)
-    state.target = x
+    state = _RunState(target=x, oracle=oracle, config=config)
 
     y = _initial_vertex(x, state)
     active = ActiveSet(y)
@@ -455,7 +421,7 @@ def separate_lazy_afw(
     for t in range(config.max_iters):
         diff = x - y
         f = 0.5 * float(diff @ diff)
-        if f == 0.0 or f < config.epsilon:
+        if f == 0.0 or f < MEMBERSHIP_EPSILON:
             return _membership_outcome(state, t, f)
         gradient = y - x
 
@@ -506,15 +472,14 @@ def separate_lazy_afw(
 
         if kind == "away" and gamma_max > 0.0:
             direction = y - v_away
-            gamma = _step_size(config, t, x, y, direction, gamma_max)
+            gamma = _line_search(x, y, direction, gamma_max)
             active.away_update(gamma, i_away)
             y = active.iterate
         elif kind != "dual":
             direction = step_vertex - y
-            gamma = _step_size(config, t, x, y, direction, gamma_max)
+            gamma = _line_search(x, y, direction, gamma_max)
             active.fw_update(gamma, step_vertex)
             y = active.iterate
-        state.record(f, kind)
 
     diff = x - y
     return _limit_outcome(state, y, 0.5 * float(diff @ diff))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ class TestSeparateCommand:
 
     def test_weight_count_mismatch_exits_two(self, tmp_path):
         assert self.run(tmp_path, [1, 1], [3, 5, 2, 3]) == 2
+
+    def test_weight_beyond_int64_exits_two(self, tmp_path, capsys):
+        # exit 1 would read as the membership verdict
+        big = "99999999999999999999"
+        assert self.run(tmp_path, [1, 1, 1], [3, 5, 2, big, 4]) == 2
+        assert "at token 3" in capsys.readouterr().err
+
+    def test_integral_float_weight_reads_like_the_instance_parser(self, tmp_path, capsys):
+        assert self.run(tmp_path, [1, 1, 1], [3, 5, 2, 3, 4]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert self.run(tmp_path, [1, 1, 1], [3, 5, 2, 3, "4.0"]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
 
     def test_normalized_cut_has_unit_max_coefficient(self, tmp_path, capsys):
         code = self.run(tmp_path, [1, 1, 1], [3, 5, 2, 3, 4], "--normalize")
@@ -141,7 +154,15 @@ class TestRootGapCommand:
     def test_rejects_separator_variant_flags(self, micro_file, capsys):
         # the root loop runs only the lazy away-step separator with the early
         # stop, and lifts every cut the one way
-        for flag in ("--vanilla", "--no-lazy", "--no-early-stop", "--lifting down"):
+        flags = (
+            "--vanilla",
+            "--no-lazy",
+            "--no-early-stop",
+            "--lifting down",
+            "--epsilon 1e-9",
+            "--step-rule agnostic",
+        )
+        for flag in flags:
             with pytest.raises(SystemExit) as exc:
                 main(["root-gap", micro_file, *flag.split()])
             assert exc.value.code == 2
@@ -168,7 +189,7 @@ class TestAuditCommand:
 
         from fwcuts.instances import parse_mknap
 
-        instances = parse_mknap(open(micro_file).read())
+        instances = parse_mknap(Path(micro_file).read_text())
 
         def corrupt(report):
             pool = tuple(
@@ -191,6 +212,19 @@ class TestAuditCommand:
         monkeypatch.setattr(cli, "run_audit", fake_run_audit)
         assert main(["audit", micro_file]) == 3
         assert "cut-validity-dp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["separate", "audit"])
+def test_output_format_flags_only_on_root_gap(command, micro_file, tmp_path, capsys):
+    # `separate` and `audit` always print JSON and have no timing fields
+    point = tmp_path / "point.txt"
+    point.write_text("1 1")
+    files = [str(point), micro_file] if command == "separate" else [micro_file]
+    for flag in ("--csv", "--no-timings"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_command():

@@ -13,7 +13,7 @@ from fwcuts.driver import (
 )
 from fwcuts.errors import GapUndefinedError, InvalidCutError
 from fwcuts.instances import MkpInstance, parse_gap
-from fwcuts.lp import solve
+from fwcuts.lp import SimplexSolver
 from fwcuts.oracles import KnapsackSubproblem, knapsack_dp_max
 from fwcuts.separation import Cut, FwConfig, SeparationOutcome, SeparationStats, Separated
 
@@ -134,7 +134,7 @@ class TestGapInstances:
         # two agents, two jobs; knapsacks loose enough to leave a fractional LP
         data = "1  2 2  9 2 2 9  6 4 4 6  5 5"
         inst = parse_gap(data)[0]
-        sol = solve(build_relaxation(inst))
+        sol = SimplexSolver(build_relaxation(inst)).solve()
         assert sol.status == "optimal"
         for coeffs, rhs in inst.eq_rows:
             assert float(coeffs @ sol.x) == pytest.approx(rhs, abs=1e-7)

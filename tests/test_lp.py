@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fwcuts.lp import LpProblem, SimplexSolver, membership_test, solve
+from fwcuts.lp import LpProblem, SimplexSolver, membership_test
 
 from conftest import feasible_points
 
@@ -39,19 +39,20 @@ def brute_force_lp_max(c, rows):
 
 class TestSimplex:
     def test_single_row(self):
-        sol = solve(LpProblem(np.array([1.0, 1.0]), ((np.array([1.0, 1.0]), 1.0),)))
+        problem = LpProblem(np.array([1.0, 1.0]), ((np.array([1.0, 1.0]), 1.0),))
+        sol = SimplexSolver(problem).solve()
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_no_rows_positive_objective(self):
-        sol = solve(LpProblem(np.array([2.0, -1.0, 3.0]), ()))
+        sol = SimplexSolver(LpProblem(np.array([2.0, -1.0, 3.0]), ())).solve()
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 0.0, 1.0])
 
     def test_equality_via_row_pair(self):
         ones = np.ones(3)
         rows = ((ones, 1.0), (-ones, -1.0))
-        sol = solve(LpProblem(np.array([3.0, 1.0, 2.0]), rows))
+        sol = SimplexSolver(LpProblem(np.array([3.0, 1.0, 2.0]), rows)).solve()
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
         assert float(ones @ sol.x) == pytest.approx(1.0, abs=1e-9)
@@ -59,7 +60,7 @@ class TestSimplex:
     def test_infeasible_detected(self):
         ones = np.ones(2)
         rows = ((ones, 0.5), (-ones, -1.5))  # 1.5 <= x1+x2 <= 0.5
-        assert solve(LpProblem(np.zeros(2), rows)).status == "infeasible"
+        assert SimplexSolver(LpProblem(np.zeros(2), rows)).solve().status == "infeasible"
 
     def test_relaxation_bounds_integer_optimum(self, rng):
         for _ in range(10):
@@ -73,7 +74,7 @@ class TestSimplex:
                 keep &= pts @ A[i] <= b[i]
             ip_opt = float((pts[keep] @ c).max())
             rows = tuple((A[i].astype(float), float(b[i])) for i in range(m))
-            sol = solve(LpProblem(c.astype(float), rows))
+            sol = SimplexSolver(LpProblem(c.astype(float), rows)).solve()
             assert sol.status == "optimal"
             assert sol.objective_value >= ip_opt - 1e-7
 
@@ -85,7 +86,7 @@ class TestSimplex:
             b = rng.uniform(0.0, 1.5, size=m)
             c = rng.uniform(-1.0, 1.0, size=n)
             rows = tuple((A[i], float(b[i])) for i in range(m))
-            sol = solve(LpProblem(c, rows))
+            sol = SimplexSolver(LpProblem(c, rows)).solve()
             assert sol.status == "optimal"
             ref = brute_force_lp_max(c, rows)
             assert ref is not None
@@ -104,7 +105,7 @@ class TestSimplex:
         first = warm.solve()
         warm.add_rows(extra)
         warm_sol = warm.solve()
-        cold_sol = solve(LpProblem(c, tuple(base + extra)))
+        cold_sol = SimplexSolver(LpProblem(c, tuple(base + extra))).solve()
         assert warm_sol.objective_value == pytest.approx(
             cold_sol.objective_value, abs=1e-8
         )
@@ -120,10 +121,6 @@ class TestSimplex:
         after = solver.solve()
         assert after.objective_value <= before.objective_value + 1e-9
         assert after.objective_value < before.objective_value - 1e-6
-
-    def test_duals_have_row_dimension(self):
-        sol = solve(LpProblem(np.array([1.0]), ((np.array([2.0]), 1.0),)))
-        assert sol.duals is not None and sol.duals.shape == (1,)
 
 
 class TestMembership:

@@ -13,8 +13,6 @@ from fwcuts.oracles import (
     EnumerationOracle,
     KnapsackOracle,
     KnapsackSubproblem,
-    enumerate_lmo,
-    knapsack_dp_lmo,
     knapsack_dp_max,
     reduce_row,
 )
@@ -24,10 +22,10 @@ from conftest import brute_force_max, brute_force_min, feasible_points, random_k
 
 class TestEnumerationOracle:
     def test_zero_direction_gives_lexicographic_smallest(self):
-        assert np.array_equal(enumerate_lmo(np.zeros(4)), np.zeros(4))
+        assert np.array_equal(EnumerationOracle(4).minimize(np.zeros(4)), np.zeros(4))
 
     def test_square_sign_inspection(self):
-        assert np.array_equal(enumerate_lmo(np.array([0.5, -0.5])), [0, 1])
+        assert np.array_equal(EnumerationOracle(2).minimize(np.array([0.5, -0.5])), [0, 1])
 
     def test_knapsack_brute_force_cross_check(self):
         w, cap = [2, 3, 4], 5
@@ -44,7 +42,7 @@ class TestEnumerationOracle:
             EnumerationOracle(26)
 
     def test_infeasible_predicate(self):
-        oracle = EnumerationOracle(3, predicate=lambda v: False)
+        oracle = EnumerationOracle(3, batch_predicate=lambda pts: np.zeros(len(pts), bool))
         with pytest.raises(InfeasibleOracleError):
             oracle.minimize(np.zeros(3))
 
@@ -62,15 +60,17 @@ class TestEnumerationOracle:
 class TestKnapsackDp:
     def test_nonnegative_direction_returns_zero(self):
         sub = KnapsackSubproblem.plain([2, 3, 4], 5)
-        assert np.array_equal(knapsack_dp_lmo(sub, np.array([0.0, 1.0, 2.0])), [0, 0, 0])
+        v = KnapsackOracle(sub).minimize(np.array([0.0, 1.0, 2.0]))
+        assert np.array_equal(v, [0, 0, 0])
 
     def test_minimization_example(self):
         sub = KnapsackSubproblem.plain([2, 3, 4], 5)
-        assert np.array_equal(knapsack_dp_lmo(sub, np.array([-3.0, -4.0, -2.0])), [1, 1, 0])
+        v = KnapsackOracle(sub).minimize(np.array([-3.0, -4.0, -2.0]))
+        assert np.array_equal(v, [1, 1, 0])
 
     def test_item_too_heavy(self):
         sub = KnapsackSubproblem.plain([5], 4)
-        assert np.array_equal(knapsack_dp_lmo(sub, np.array([-10.0])), [0])
+        assert np.array_equal(KnapsackOracle(sub).minimize(np.array([-10.0])), [0])
 
     def test_max_all_nonpositive_profits(self):
         sub = KnapsackSubproblem.plain([2, 3], 4)
@@ -106,7 +106,7 @@ class TestKnapsackDp:
         # evaluate both argmins with one evaluator so that "equal optimal
         # value" is not blurred by summation order
         _, ref_vec = brute_force_min(pts, direction)
-        v = knapsack_dp_lmo(sub, direction)
+        v = KnapsackOracle(sub).minimize(direction)
         assert v @ w <= cap
         assert float(v @ direction) == float(ref_vec @ direction)
 

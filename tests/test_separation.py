@@ -5,13 +5,18 @@ import struct
 import numpy as np
 import pytest
 
+import fwcuts.separation as separation
 from fwcuts.driver import LoopConfig, root_cut_loop
 from fwcuts.errors import DimensionMismatchError, UndefinedBoundError
 from fwcuts.lp import membership_test
-from fwcuts.oracles import EnumerationOracle, KnapsackOracle, KnapsackSubproblem
+from fwcuts.oracles import (
+    EnumerationOracle,
+    KnapsackOracle,
+    KnapsackSubproblem,
+    knapsack_dp_max,
+)
 from fwcuts.separation import (
     ActiveSet,
-    ConvergenceBound,
     FwConfig,
     Membership,
     Separated,
@@ -118,9 +123,6 @@ class TestIterationBound:
     def test_floor_at_one(self):
         assert iteration_bound(1.0, 100.0) == 1
 
-    def test_bound_dataclass(self):
-        assert ConvergenceBound(diameter_sq=2.0, dist_sq=0.5).T == 29
-
 
 class TestVanilla:
     def test_feasible_vertex_is_membership(self):
@@ -132,14 +134,18 @@ class TestVanilla:
 
     def test_one_dimensional_bound(self):
         # hull of {0, 1}: diameter^2 = 1; target 2 has distance^2 = 1
-        config = FwConfig(step_rule="agnostic")
-        out = separate_vanilla(np.array([2.0]), make_oracle([1], 1), config)
+        out = separate_vanilla(np.array([2.0]), make_oracle([1], 1))
         assert isinstance(out.result, Separated)
         assert out.stats.iterations <= iteration_bound(1.0, 1.0) == 5
 
-    def test_midpoint_of_two_vertices_is_membership(self):
-        out = separate_vanilla(np.array([0.5, 0.5]), make_oracle([1, 1], 2))
-        assert isinstance(out.result, Membership)
+    def test_midpoint_of_two_vertices_is_never_cut(self):
+        # agnostic steps approach an inside point only at rate O(1/t), so a
+        # small cap ends undecided, never with a cut
+        target = np.array([0.5, 0.5])
+        for max_iters in (1, 2, 5, 50):
+            out = separate_vanilla(target, make_oracle([1, 1], 2), FwConfig(max_iters=max_iters))
+            assert out.cut is None
+            assert out.stats.stop_reason == "iteration-limit"
 
 
 class TestLazyAfw:
@@ -174,16 +180,35 @@ class TestLazyAfw:
             assert a.result.cut.beta == b.result.cut.beta
             assert a.result.cut.violation_at_target == b.result.cut.violation_at_target
 
-    def test_monotone_progress_on_non_dual_steps(self, rng):
-        config = FwConfig(record_trace=True)
+    def test_monotone_progress_on_non_dual_steps(self, rng, monkeypatch):
+        # every forward and away update is a line-search step, so it never
+        # raises f; dual steps do not update the active set at all
+        steps = []
+
+        class RecordingActiveSet(ActiveSet):
+            def fw_update(self, gamma, vertex):
+                before = self.iterate
+                super().fw_update(gamma, vertex)
+                steps.append(("fw", before, self.iterate))
+
+            def away_update(self, gamma, away_index):
+                before = self.iterate
+                super().away_update(gamma, away_index)
+                steps.append(("away", before, self.iterate))
+
+        monkeypatch.setattr(separation, "ActiveSet", RecordingActiveSet)
+        kinds = set()
         for _ in range(15):
             w, cap = random_knapsack(rng, k_max=10)
             target = rng.uniform(-0.3, 1.3, size=len(w))
-            out = separate_lazy_afw(target, make_oracle(w, cap), config)
-            trace = out.stats.trace
-            for (f_now, kind), (f_next, _) in zip(trace, trace[1:]):
-                if kind != "dual":
-                    assert f_next <= f_now + 1e-12
+            steps.clear()
+            separate_lazy_afw(target, make_oracle(w, cap))
+            for kind, before, after in steps:
+                f_before = 0.5 * float((target - before) @ (target - before))
+                f_after = 0.5 * float((target - after) @ (target - after))
+                assert f_after <= f_before + 1e-12
+                kinds.add(kind)
+        assert kinds == {"fw", "away"}
 
     def test_validity_and_violation_margin(self, rng):
         separated = 0
@@ -216,6 +241,41 @@ class TestLazyAfw:
     def test_target_dimension_validated(self):
         with pytest.raises(DimensionMismatchError):
             separate_lazy_afw(np.ones(4), make_oracle([1, 2], 2))
+
+
+class TestIterationLimitCut:
+    """A run that hits `max_iters` still returns a cut when one last oracle
+    call shows the target violates <x - y, u> <= <x - y, v>; the driver
+    lifts and pools such cuts like early-stop cuts."""
+
+    @staticmethod
+    def assert_valid_and_violated(out, w, cap, target):
+        cut = out.cut
+        assert out.stats.stop_reason == "iteration-limit"
+        assert cut.source == "fw-converged"
+        best, _ = knapsack_dp_max(KnapsackSubproblem.plain(w, cap), cut.alpha)
+        assert best <= cut.beta + 1e-9
+        assert cut.violation(target) > 1e-9
+        assert cut.violation_at_target == pytest.approx(cut.violation(target), abs=1e-12)
+
+    def test_stalled_production_run(self):
+        w, cap, target = single_row_problem(7)
+        out = separate_lazy_afw(target, make_oracle(w, cap), FwConfig(max_iters=500))
+        assert out.is_separated
+        self.assert_valid_and_violated(out, w, cap, target)
+
+    def test_small_caps_on_random_knapsacks(self, rng):
+        cuts = {separate_lazy_afw: 0, separate_vanilla: 0}
+        for _ in range(40):
+            w, cap = random_knapsack(rng, k_max=10)
+            target = rng.uniform(-0.3, 1.3, size=len(w))
+            for max_iters in range(1, 6):
+                for solver in cuts:
+                    out = solver(target, make_oracle(w, cap), FwConfig(max_iters=max_iters))
+                    if out.stats.stop_reason == "iteration-limit" and out.is_separated:
+                        self.assert_valid_and_violated(out, w, cap, target)
+                        cuts[solver] += 1
+        assert min(cuts.values()) >= 20
 
 
 class TestActiveSetInvariants:
@@ -400,7 +460,6 @@ def test_gradient_matches_central_differences(rng):
 
 def test_vanilla_bound_smoke(rng):
     # small version of the worst-case certification bound check
-    config = FwConfig(step_rule="agnostic")
     checked = 0
     while checked < 15:
         w, cap = random_knapsack(rng, k_min=2, k_max=8)
@@ -412,7 +471,7 @@ def test_vanilla_bound_smoke(rng):
         if dist < 0.2:
             continue
         checked += 1
-        out = separate_vanilla(target, make_oracle(w, cap), config)
+        out = separate_vanilla(target, make_oracle(w, cap))
         assert isinstance(out.result, Separated)
         assert out.stats.stop_reason == "early-criterion"
         T = iteration_bound(squared_diameter(V), dist * dist)
