@@ -2,12 +2,12 @@
 
 Subcommands:
   separate   separate one point from one knapsack, print the cut or membership
-  root-gap   run the root-node cutting-plane loop over an instance file
-  audit      run a root loop and re-verify its cuts with independent checks
+  root-gap   run the root-node cutting-plane loop over an instance file and
+             re-verify every run with the driver's independent audit checks
 
 Exit codes: `separate` uses 0 = separated, 1 = membership (or undecided),
-2 = error.  `root-gap` uses 0 = ok, 2 = error.  `audit` uses
-0 = all checks passed, 3 = a named invariant failed, 2 = error.
+2 = error.  `root-gap` uses 0 = every audit check passed, 2 = error,
+3 = an audit check failed (its names go to stderr, in JSON and CSV mode alike).
 
 `--max-iters` is the separator's only setting; `separate --vanilla` swaps
 the production solver for the plain one with agnostic steps.
@@ -23,18 +23,17 @@ so that identical runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import csv
+import dataclasses
 import io
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from .driver import LoopConfig, RootRunReport, audit_report, root_cut_loop
 from .errors import FwcutsError
-from .instances import _Tokens, load_gap_optima, parse_gap, parse_mknap
+from .instances import MkpInstance, _Tokens, load_gap_optima, parse_gap, parse_mknap
 from .oracles import KnapsackOracle, KnapsackSubproblem
 from .separation import (
     FwConfig,
@@ -54,15 +53,6 @@ EXIT_ERROR = 2
 EXIT_AUDIT_FAILED = 3
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
-
-
-def _fw_config(args) -> FwConfig:
-    return FwConfig(max_iters=args.max_iters)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -75,12 +65,23 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _read_instances(path: str, fmt: str):
-    with open(path, "rb") as fh:
+def _read_instances(args) -> list[MkpInstance]:
+    with open(args.instances, "rb") as fh:
         data = fh.read()
-    if fmt == "gap":
-        return parse_gap(data, name=path)
-    return parse_mknap(data, name=path)
+    parse = parse_gap if args.format == "gap" else parse_mknap
+    instances = parse(data, name=args.instances)
+    if not args.optima:
+        return instances
+    with open(args.optima) as fh:
+        values = load_gap_optima(fh.read())
+    if len(values) != len(instances):
+        raise FwcutsError(
+            f"sidecar optima file has {len(values)} values for {len(instances)} instances"
+        )
+    return [
+        dataclasses.replace(inst, known_optimum=value)
+        for inst, value in zip(instances, values)
+    ]
 
 
 def cmd_separate(args) -> int:
@@ -98,14 +99,13 @@ def cmd_separate(args) -> int:
     if len(point) != k:
         raise FwcutsError(f"point has dimension {len(point)}, knapsack has {k} items")
     sub = KnapsackSubproblem.plain(weights, cap)
-    config = _fw_config(args)
     separate = separate_vanilla if args.vanilla else separate_lazy_afw
-    outcome = separate(point, KnapsackOracle(sub), config)
+    outcome = separate(point, KnapsackOracle(sub), FwConfig(max_iters=args.max_iters))
 
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "separate",
-        "stats": asdict(outcome.stats),
+        "stats": dataclasses.asdict(outcome.stats),
     }
     if isinstance(outcome.result, Separated):
         cut = outcome.result.cut
@@ -152,14 +152,10 @@ def _report_dict(report: RootRunReport, with_timings: bool) -> dict:
     return d
 
 
-def _block_key(report: RootRunReport) -> tuple[int, int]:
-    return (report.n, report.m)
-
-
 def _block_averages(reports, with_timings: bool) -> list[dict]:
     blocks: dict[tuple[int, int], list[RootRunReport]] = {}
     for rep in reports:
-        blocks.setdefault(_block_key(rep), []).append(rep)
+        blocks.setdefault((rep.n, rep.m), []).append(rep)
     rows = []
     for (n, m), members in sorted(blocks.items()):
         gaps = [r.gap_closed_pct for r in members if r.gap_closed_pct is not None]
@@ -184,141 +180,69 @@ def _block_averages(reports, with_timings: bool) -> list[dict]:
     return rows
 
 
-def _csv_text(reports, with_timings: bool) -> str:
+def _csv_cell(column: str, value) -> str:
+    """One CSV cell: absent values are empty, counts print as they are for an
+    instance and with one decimal for a block average."""
+    if value is None:
+        return ""
+    if column == "gap_closed":
+        return f"{value:.2f}"
+    if column in ("time", "sepa_time"):
+        return f"{value:.3f}"
+    if isinstance(value, float):
+        return f"{value:.1f}"
+    return str(value)
+
+
+def _csv_text(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-
-    def fmt(rep_dict):
-        gap = rep_dict.get("gap_closed")
-        return [
-            rep_dict["name"],
-            rep_dict["n"],
-            rep_dict["m"],
-            "" if gap is None else f"{gap:.2f}",
-            f"{rep_dict['time']:.3f}" if with_timings else "",
-            f"{rep_dict['sepa_time']:.3f}" if with_timings else "",
-            rep_dict["calls"],
-            rep_dict["cuts"],
-            rep_dict["rounds"],
-        ]
-
-    dicts = [_report_dict(r, with_timings) for r in reports]
-    for d in dicts:
-        writer.writerow(fmt(d))
-    for row in _block_averages(reports, with_timings):
-        writer.writerow(
-            [
-                row["name"],
-                row["n"],
-                row["m"],
-                "" if row["gap_closed"] is None else f"{row['gap_closed']:.2f}",
-                f"{row['time']:.3f}" if with_timings else "",
-                f"{row['sepa_time']:.3f}" if with_timings else "",
-                f"{row['calls']:.1f}",
-                f"{row['cuts']:.1f}",
-                f"{row['rounds']:.1f}",
-            ]
-        )
+    for row in rows:
+        writer.writerow([_csv_cell(col, row.get(col)) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 
-def _loop_config(args) -> LoopConfig:
-    return LoopConfig(max_rounds=args.max_rounds)
-
-
-def _attach_optima(instances, args) -> list:
-    if not getattr(args, "optima", None):
-        return instances
-    with open(args.optima) as fh:
-        values = load_gap_optima(fh.read())
-    if len(values) < len(instances):
-        raise FwcutsError("sidecar optima file has fewer values than instances")
-    return [
-        dataclasses.replace(inst, known_optimum=int(values[i]))
-        for i, inst in enumerate(instances)
-    ]
-
-
-def _run_reports(args) -> list[RootRunReport]:
-    instances = _read_instances(args.instances, args.format)
-    instances = _attach_optima(instances, args)
-    fw_config = _fw_config(args)
-    loop_config = _loop_config(args)
-    reports = []
-    for inst in instances:
-        reports.append(root_cut_loop(inst, fw_config, loop_config))
-    return reports
-
-
 def cmd_root_gap(args) -> int:
-    reports = _run_reports(args)
+    instances = _read_instances(args)
+    if not instances:
+        sys.stderr.write("warning: no instances found; nothing audited\n")
+    fw_config = FwConfig(max_iters=args.max_iters)
+    loop_config = LoopConfig(max_rounds=args.max_rounds)
+    reports = []
+    checks = []
+    for inst in instances:
+        report = root_cut_loop(inst, fw_config, loop_config)
+        reports.append(report)
+        checks.extend(
+            {
+                "instance": inst.name,
+                "check": c.name,
+                "passed": c.passed,
+                "checked": c.checked,
+                "detail": "" if c.passed else c.detail,
+            }
+            for c in audit_report(inst, report)
+        )
+    failed = sorted({c["check"] for c in checks if not c["passed"]})
+
     with_timings = not args.no_timings
+    rows = [_report_dict(r, with_timings) for r in reports]
+    blocks = _block_averages(reports, with_timings)
     if args.csv:
-        _emit(_csv_text(reports, with_timings), args.out)
+        _emit(_csv_text(rows + blocks), args.out)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "root-gap",
-            "instances": [_report_dict(r, with_timings) for r in reports],
-            "block_averages": _block_averages(reports, with_timings),
+            "instances": rows,
+            "block_averages": blocks,
+            "checks": checks,
+            "failed": failed,
         }
         _emit(_dump_json(payload), args.out)
-    return EXIT_OK
-
-
-def run_audit(instances, fw_config, loop_config, cut_transform=None):
-    """Run the loop per instance and re-verify invariants on each report.
-
-    `cut_transform` is a test hook: it may replace the report's cut pool
-    before auditing (used to prove the audit catches corrupted cuts).
-    Returns (all_passed, results) with one (instance, checks) pair each.
-    """
-    results = []
-    all_passed = True
-    for inst in instances:
-        report = root_cut_loop(inst, fw_config, loop_config)
-        if cut_transform is not None:
-            report = cut_transform(report)
-        checks = audit_report(inst, report)
-        all_passed &= all(c.passed for c in checks)
-        results.append((inst, checks))
-    return all_passed, results
-
-
-def cmd_audit(args) -> int:
-    instances = _read_instances(args.instances, args.format)
-    instances = _attach_optima(instances, args)
-    if not instances:
-        sys.stderr.write("warning: no instances found; nothing audited\n")
-        payload = {"schema_version": SCHEMA_VERSION, "command": "audit", "checks": []}
-        _emit(_dump_json(payload), args.out)
-        return EXIT_OK
-    all_passed, results = run_audit(instances, _fw_config(args), _loop_config(args))
-    check_rows = []
-    failed_names = []
-    for inst, checks in results:
-        for c in checks:
-            check_rows.append(
-                {
-                    "instance": inst.name,
-                    "check": c.name,
-                    "passed": c.passed,
-                    "checked": c.checked,
-                    "detail": "" if c.passed else c.detail,
-                }
-            )
-            if not c.passed:
-                failed_names.append(c.name)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "audit",
-        "checks": check_rows,
-        "failed": sorted(set(failed_names)),
-    }
-    _emit(_dump_json(payload), args.out)
-    if not all_passed:
-        sys.stderr.write(f"audit failed: {', '.join(sorted(set(failed_names)))}\n")
+    if failed:
+        sys.stderr.write(f"audit failed: {', '.join(failed)}\n")
         return EXIT_AUDIT_FAILED
     return EXIT_OK
 
@@ -339,23 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="plain conditional gradients without away steps or an active set",
     )
-    _add_common_flags(p_sep)
     p_sep.set_defaults(func=cmd_separate)
 
-    for name, func, help_text in (
-        ("root-gap", cmd_root_gap, "root-node cutting-plane loop over an instance file"),
-        ("audit", cmd_audit, "run and re-verify invariants on real instances"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("instances", help="instance file")
-        p.add_argument("--format", choices=["mknap", "gap"], default="mknap")
-        p.add_argument("--optima", default=None, help="sidecar file of known optima")
-        p.add_argument("--max-rounds", type=int, default=1000)
-        _add_common_flags(p)
-        if name == "root-gap":
-            p.add_argument("--csv", action="store_true", help="emit CSV rows")
-            p.add_argument("--no-timings", action="store_true", help="omit wall-clock fields")
-        p.set_defaults(func=func)
+    p_gap = sub.add_parser("root-gap", help="root-node cut loop over an instance file, audited")
+    p_gap.add_argument("instances", help="instance file")
+    p_gap.add_argument("--format", choices=["mknap", "gap"], default="mknap")
+    p_gap.add_argument("--optima", default=None, help="sidecar file of known optima")
+    p_gap.add_argument("--max-rounds", type=int, default=1000)
+    p_gap.add_argument("--csv", action="store_true", help="emit CSV rows")
+    p_gap.add_argument("--no-timings", action="store_true", help="omit wall-clock fields")
+    p_gap.set_defaults(func=cmd_root_gap)
+
+    for p in (p_sep, p_gap):
+        p.add_argument("--max-iters", type=int, default=10_000)
+        p.add_argument("--out", type=str, default=None, help="write to a file instead of stdout")
 
     return parser
 

@@ -79,6 +79,14 @@ class _Tokens:
         self._pos += 1
         return value
 
+    def next_dim(self, what: str) -> int:
+        """The next token as an instance dimension, which must be at least 1."""
+        offset = self._pos
+        value = self.next_int(what)
+        if value < 1:
+            raise ParseError(f"{what} must be at least 1, got {value}", offset)
+        return value
+
     def next_ints(self, count: int, what: str) -> np.ndarray:
         return np.array([self.next_int(what) for _ in range(count)], dtype=np.int64)
 
@@ -91,8 +99,8 @@ def parse_mknap(data: str | bytes, name: str = "mknap") -> list[MkpInstance]:
     count = tok.next_int("instance count")
     instances = []
     for idx in range(count):
-        n = tok.next_int(f"n of instance {idx}")
-        m = tok.next_int(f"m of instance {idx}")
+        n = tok.next_dim(f"n of instance {idx}")
+        m = tok.next_dim(f"m of instance {idx}")
         opt = tok.next_int(f"optimum of instance {idx}")
         profits = tok.next_ints(n, f"profit c[j] of instance {idx}")
         weights = np.stack(
@@ -132,8 +140,8 @@ def parse_gap(data: str | bytes, name: str = "gap") -> list[MkpInstance]:
     count = tok.next_int("instance count")
     instances = []
     for idx in range(count):
-        m = tok.next_int(f"agent count of instance {idx}")
-        n = tok.next_int(f"job count of instance {idx}")
+        m = tok.next_dim(f"agent count of instance {idx}")
+        n = tok.next_dim(f"job count of instance {idx}")
         costs = np.stack(
             [tok.next_ints(n, f"cost c[{i}][j] of instance {idx}") for i in range(m)]
         )

@@ -2,16 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fwcuts
-from fwcuts.cli import CSV_COLUMNS, build_parser, main, run_audit
-from fwcuts.driver import LoopConfig
+from fwcuts.cli import CSV_COLUMNS, build_parser, main
 from fwcuts.instances import MkpInstance, format_mknap
-from fwcuts.separation import FwConfig
 
 MICRO = format_mknap(
     [MkpInstance("m", 2, 1, [6, 4], [[3, 5]], [7], known_optimum=6)]
@@ -132,6 +129,13 @@ class TestRootGapCommand:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 4  # header, two instances, one (n, m) block average
         assert lines[3].startswith("block(n=2;m=1)")
+        # instance counts print as ints, block averages with one decimal
+        cells = [line.split(",", 1)[1] for line in lines[1:]]
+        assert cells == [
+            "2,1,100.00,,,1,1,1",
+            "2,1,100.00,,,1,1,1",
+            "2,1,100.00,,,1.0,1.0,1.0",
+        ]
 
     def test_parse_failure_exits_two(self, tmp_path):
         bad = tmp_path / "bad.mknap"
@@ -170,59 +174,96 @@ class TestRootGapCommand:
 
 
 class TestAuditCommand:
+    """`root-gap` audits every report it produces; there is no separate
+    `audit` subcommand."""
+
     def test_clean_run_exits_zero(self, micro_file, capsys):
-        assert main(["audit", micro_file]) == 0
+        assert main(["root-gap", micro_file]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["failed"] == []
+        assert payload["checks"]
         assert all(c["passed"] for c in payload["checks"])
+        assert {c["check"] for c in payload["checks"]} >= {"cut-validity-dp", "lp-sandwich"}
 
     def test_empty_file_warns_and_passes(self, tmp_path, capsys):
         empty = tmp_path / "none.mknap"
         empty.write_text("0")
-        assert main(["audit", str(empty)]) == 0
+        assert main(["root-gap", str(empty)]) == 0
         captured = capsys.readouterr()
         assert "warning" in captured.err
-        assert json.loads(captured.out)["checks"] == []
+        payload = json.loads(captured.out)
+        assert payload["checks"] == [] and payload["failed"] == []
 
-    def test_corrupted_cut_fails_named_invariant(self, micro_file):
+    @staticmethod
+    def corrupt_every_pooled_cut(monkeypatch):
         import dataclasses
 
-        from fwcuts.instances import parse_mknap
+        import fwcuts.cli as cli
 
-        instances = parse_mknap(Path(micro_file).read_text())
+        real_loop = cli.root_cut_loop
 
-        def corrupt(report):
+        def corrupted_loop(*args, **kwargs):
+            report = real_loop(*args, **kwargs)
+            assert report.cut_pool
             pool = tuple(
                 dataclasses.replace(rec, beta=rec.beta - 10.0) for rec in report.cut_pool
             )
             return dataclasses.replace(report, cut_pool=pool)
 
-        ok, results = run_audit(instances, FwConfig(), LoopConfig(max_rounds=5), corrupt)
-        assert not ok
-        failed = [c.name for _, checks in results for c in checks if not c.passed]
-        assert "cut-validity-dp" in failed
+        monkeypatch.setattr(cli, "root_cut_loop", corrupted_loop)
+
+    def test_corrupted_cut_fails_named_invariant(self, micro_file, monkeypatch, capsys):
+        self.corrupt_every_pooled_cut(monkeypatch)
+        assert main(["root-gap", micro_file]) == 3
+        captured = capsys.readouterr()
+        assert "audit failed: cut-validity-dp" in captured.err
+        assert "cut-validity-dp" in json.loads(captured.out)["failed"]
 
     def test_cli_exit_three_on_failed_invariant(self, micro_file, monkeypatch, capsys):
-        import fwcuts.cli as cli
-        from fwcuts.driver import AuditCheck
+        # CSV rows have no room for the checks; the exit code and stderr carry them
+        self.corrupt_every_pooled_cut(monkeypatch)
+        assert main(["root-gap", micro_file, "--csv"]) == 3
+        assert "audit failed: cut-validity-dp" in capsys.readouterr().err
 
-        def fake_run_audit(instances, fw, loop, cut_transform=None):
-            return False, [(instances[0], [AuditCheck("cut-validity-dp", False, 1, "boom")])]
+    def test_audit_subcommand_is_gone(self, micro_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", micro_file])
+        assert exc.value.code == 2
+        assert "invalid choice: 'audit'" in capsys.readouterr().err
 
-        monkeypatch.setattr(cli, "run_audit", fake_run_audit)
-        assert main(["audit", micro_file]) == 3
-        assert "cut-validity-dp" in capsys.readouterr().err
+
+class TestSidecarOptima:
+    GAP = "1  1 2  5 7  2 3  5"
+
+    def run(self, tmp_path, optima):
+        gap = tmp_path / "g.gap"
+        gap.write_text(self.GAP)
+        opt = tmp_path / "g.opt"
+        opt.write_text(optima)
+        return main(["root-gap", str(gap), "--format", "gap", "--optima", str(opt)])
+
+    def test_one_value_per_instance_is_attached(self, tmp_path, capsys):
+        assert self.run(tmp_path, "12") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["instances"][0]["known_optimum"] == 12
+        assert "lp-sandwich" in {c["check"] for c in payload["checks"]}
+
+    @pytest.mark.parametrize(
+        "optima, count", [("12 13", 2), ("", 0)], ids=["too-many", "too-few"]
+    )
+    def test_value_count_must_match_instances(self, optima, count, tmp_path, capsys):
+        assert self.run(tmp_path, optima) == 2
+        err = capsys.readouterr().err
+        assert f"sidecar optima file has {count} values for 1 instances" in err
 
 
-@pytest.mark.parametrize("command", ["separate", "audit"])
-def test_output_format_flags_only_on_root_gap(command, micro_file, tmp_path, capsys):
-    # `separate` and `audit` always print JSON and have no timing fields
+def test_output_format_flags_only_on_root_gap(micro_file, tmp_path, capsys):
+    # `separate` always prints JSON and has no timing fields
     point = tmp_path / "point.txt"
     point.write_text("1 1")
-    files = [str(point), micro_file] if command == "separate" else [micro_file]
     for flag in ("--csv", "--no-timings"):
         with pytest.raises(SystemExit) as exc:
-            main([command, *files, flag])
+            main(["separate", str(point), micro_file, flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

@@ -46,6 +46,15 @@ class TestParseMknap:
                 parse_mknap(f"1  2 1 10  6 {token}  3 5  7")
             assert err.value.token_offset == 5, token
 
+    def test_dimension_below_one_names_the_token(self):
+        # m = 0 used to leak numpy's "need at least one array to stack", and a
+        # negative n blamed a capacity further on
+        for header, offset in (("2 0 10", 2), ("-2 1 10", 1)):
+            with pytest.raises(ParseError) as err:
+                parse_mknap(f"1  {header}  1 2 3")
+            assert "must be at least 1" in str(err.value)
+            assert err.value.token_offset == offset, header
+
     def test_integral_float_spellings(self):
         inst = parse_mknap("1  2 1 1e1  6 4.0  3 5  7")[0]
         assert inst.known_optimum == 10
@@ -110,6 +119,13 @@ class TestParseGap:
         inst = parse_gap("1  1 1  4  9  3")[0]
         assert np.array_equal(inst.weights, [[9]])
         assert np.array_equal(inst.capacities, [3])
+
+    def test_dimension_below_one_names_the_token(self):
+        for header, offset in (("0 2", 1), ("1 0", 2), ("1 -3", 2)):
+            with pytest.raises(ParseError) as err:
+                parse_gap(f"1  {header}  5 7  2 3  5")
+            assert "must be at least 1" in str(err.value)
+            assert err.value.token_offset == offset, header
 
     def test_truncated_stream(self):
         with pytest.raises(ParseError):
