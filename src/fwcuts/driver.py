@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GapUndefinedError, InfeasibleRelaxationError, InvalidCutError
 from .instances import MkpInstance
 from .lifting import lift_cut
-from .lp import STATUS_OPTIMAL, LpProblem, SimplexSolver
+from .lp import STATUS_OPTIMAL, LpProblem, SimplexSolver, solve_from_scratch
 from .oracles import INTEGRALITY_TOL, KnapsackOracle, reduce_row
 from .separation import FwConfig, separate_lazy_afw
 
@@ -34,7 +34,8 @@ STOP_ROUND_LIMIT = "round-limit"
 CUT_VALIDITY_TOL = 1e-6
 # absolute slack in every comparison of LP bounds with each other or with the
 # known optimum: the gap-closed sandwich, the bound-increase check after
-# adding cuts, and the audit's monotone-bound and lp-sandwich checks
+# adding cuts, and the audit's monotone-bound, lp-resolve and lp-sandwich
+# checks
 BOUND_TOL = 1e-6
 # absolute violation <alpha, x> - beta a cut needs at the LP point to enter
 # the pool
@@ -274,7 +275,11 @@ class AuditCheck:
 
 
 def audit_report(instance: MkpInstance, report: RootRunReport) -> list[AuditCheck]:
-    """Re-verify a finished run with checks independent of the search path."""
+    """Re-verify a finished run with checks independent of the search path.
+
+    `lp-resolve` solves the relaxation plus every pooled cut from the
+    all-slack basis with a fresh solver and compares the result with `d_r`:
+    a bound that is too low passes the monotone and sandwich checks."""
     from .oracles import KnapsackSubproblem, knapsack_dp_max
 
     checks = []
@@ -311,6 +316,19 @@ def audit_report(instance: MkpInstance, report: RootRunReport) -> list[AuditChec
     monotone = bool(np.all(np.diff(hist) <= BOUND_TOL)) if len(hist) > 1 else True
     checks.append(
         AuditCheck("monotone-bound", monotone, max(len(hist) - 1, 0), "bound increased")
+    )
+
+    relaxation = build_relaxation(instance)
+    cut_rows = tuple((rec.alpha, rec.beta) for rec in report.cut_pool)
+    cold = solve_from_scratch(LpProblem(relaxation.objective, relaxation.rows + cut_rows))
+    checks.append(
+        AuditCheck(
+            "lp-resolve",
+            cold.status == STATUS_OPTIMAL and abs(cold.objective_value - report.d_r) <= BOUND_TOL,
+            1,
+            f"a fresh solve of the final relaxation ended {cold.status} with "
+            f"{cold.objective_value!r}, the report has d_r {report.d_r!r}",
+        )
     )
 
     if report.known_optimum is not None:

@@ -30,7 +30,12 @@ class ActiveSetConsistencyError(FwcutsError, RuntimeError):
 
 
 class NumericalInstabilityError(FwcutsError, RuntimeError):
-    """The simplex basis became too inaccurate to continue."""
+    """The dual simplex met a singular basis or reached its iteration limit.
+
+    Neither happens in exact arithmetic on a well-formed LP: every pivot
+    entry clears a tolerance and every variable is boxed.  Either one means
+    the rows are too ill-conditioned for double precision.
+    """
 
 
 class InvalidCutError(FwcutsError, RuntimeError):

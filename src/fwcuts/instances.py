@@ -2,7 +2,8 @@
 
 mknap format: `K` instances, each `n m opt`, then n profits, then the m x n
 weight matrix row-major, then m capacities.  A header optimum of 0 is the
-usual marker for "unknown" and is parsed as absent.
+usual marker for "unknown" and is parsed as absent.  In both formats `K` may
+be 0 but not negative, and a token after the last instance is an error.
 
 gap format: `K` instances, each `m n` (agents, jobs), then the m x n cost
 matrix, the m x n resource matrix, and m capacities.  Costs are maximized.
@@ -79,12 +80,13 @@ class _Tokens:
         self._pos += 1
         return value
 
-    def next_dim(self, what: str) -> int:
-        """The next token as an instance dimension, which must be at least 1."""
+    def next_at_least(self, minimum: int, what: str) -> int:
+        """The next token as an int of at least `minimum`: 0 for an instance
+        count, 1 for an instance dimension."""
         offset = self._pos
         value = self.next_int(what)
-        if value < 1:
-            raise ParseError(f"{what} must be at least 1, got {value}", offset)
+        if value < minimum:
+            raise ParseError(f"{what} must be at least {minimum}, got {value}", offset)
         return value
 
     def next_ints(self, count: int, what: str) -> np.ndarray:
@@ -93,14 +95,21 @@ class _Tokens:
     def remaining(self) -> int:
         return len(self._tokens) - self._pos
 
+    def expect_end(self) -> None:
+        if self.remaining():
+            raise ParseError(
+                f"unexpected token {self._tokens[self._pos]!r} after the last instance",
+                self._pos,
+            )
+
 
 def parse_mknap(data: str | bytes, name: str = "mknap") -> list[MkpInstance]:
     tok = _Tokens(data)
-    count = tok.next_int("instance count")
+    count = tok.next_at_least(0, "instance count")
     instances = []
     for idx in range(count):
-        n = tok.next_dim(f"n of instance {idx}")
-        m = tok.next_dim(f"m of instance {idx}")
+        n = tok.next_at_least(1, f"n of instance {idx}")
+        m = tok.next_at_least(1, f"m of instance {idx}")
         opt = tok.next_int(f"optimum of instance {idx}")
         profits = tok.next_ints(n, f"profit c[j] of instance {idx}")
         weights = np.stack(
@@ -118,6 +127,7 @@ def parse_mknap(data: str | bytes, name: str = "mknap") -> list[MkpInstance]:
                 known_optimum=opt if opt != 0 else None,
             )
         )
+    tok.expect_end()
     return instances
 
 
@@ -137,11 +147,11 @@ def parse_gap(data: str | bytes, name: str = "gap") -> list[MkpInstance]:
     """Assignment instances: one knapsack row per agent over that agent's
     variables, plus one equality row per job (kept in eq_rows)."""
     tok = _Tokens(data)
-    count = tok.next_int("instance count")
+    count = tok.next_at_least(0, "instance count")
     instances = []
     for idx in range(count):
-        m = tok.next_dim(f"agent count of instance {idx}")
-        n = tok.next_dim(f"job count of instance {idx}")
+        m = tok.next_at_least(1, f"agent count of instance {idx}")
+        n = tok.next_at_least(1, f"job count of instance {idx}")
         costs = np.stack(
             [tok.next_ints(n, f"cost c[{i}][j] of instance {idx}") for i in range(m)]
         )
@@ -169,6 +179,7 @@ def parse_gap(data: str | bytes, name: str = "gap") -> list[MkpInstance]:
                 eq_rows=tuple(eq_rows),
             )
         )
+    tok.expect_end()
     return instances
 
 

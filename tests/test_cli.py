@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -142,6 +143,14 @@ class TestRootGapCommand:
         bad.write_text("1  2 1 10  6 4  3")
         assert main(["root-gap", str(bad)]) == 2
 
+    def test_negative_count_or_trailing_tokens_exit_two(self, tmp_path, capsys):
+        # both used to run what they could and exit 0
+        bad = tmp_path / "bad.mknap"
+        for text, offset in (("-3", 0), ("1  1 1 0  5  2  3  7 7 7", 7)):
+            bad.write_text(text)
+            assert main(["root-gap", str(bad)]) == 2
+            assert f"at token {offset}" in capsys.readouterr().err
+
     def test_non_integral_or_out_of_range_token_exits_two(self, tmp_path, capsys):
         # exit 1 would read as `separate`'s membership verdict
         bad = tmp_path / "bad.mknap"
@@ -196,8 +205,6 @@ class TestAuditCommand:
 
     @staticmethod
     def corrupt_every_pooled_cut(monkeypatch):
-        import dataclasses
-
         import fwcuts.cli as cli
 
         real_loop = cli.root_cut_loop
@@ -224,6 +231,21 @@ class TestAuditCommand:
         self.corrupt_every_pooled_cut(monkeypatch)
         assert main(["root-gap", micro_file, "--csv"]) == 3
         assert "audit failed: cut-validity-dp" in capsys.readouterr().err
+
+    def test_bound_too_low_fails_lp_resolve(self, micro_file, monkeypatch, capsys):
+        import fwcuts.cli as cli
+
+        real_loop = cli.root_cut_loop
+
+        def lowered_bound(*args, **kwargs):
+            report = real_loop(*args, **kwargs)
+            return dataclasses.replace(report, d_r=report.d_r - 1.0)
+
+        monkeypatch.setattr(cli, "root_cut_loop", lowered_bound)
+        assert main(["root-gap", micro_file]) == 3
+        captured = capsys.readouterr()
+        assert "audit failed: lp-resolve" in captured.err
+        assert json.loads(captured.out)["failed"] == ["lp-resolve"]
 
     def test_audit_subcommand_is_gone(self, micro_file, capsys):
         with pytest.raises(SystemExit) as exc:

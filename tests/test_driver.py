@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import LinearConstraint, linprog, milp
 
 import fwcuts.driver as driver
 from fwcuts.driver import (
@@ -117,6 +118,16 @@ class TestRootLoop:
             root_cut_loop(random_small_instance(rng))
         assert lp_rows_added == []
 
+    def test_audit_flags_a_bound_that_is_too_low(self, rng):
+        # the monotone and sandwich checks cannot see this; a fresh re-solve can
+        inst = random_small_instance(rng)
+        report = root_cut_loop(inst, loop_config=LoopConfig(max_rounds=10))
+        checks = {c.name: c.passed for c in audit_report(inst, report)}
+        assert checks["lp-resolve"]
+        low = dataclasses.replace(report, d_r=report.d_r - 1.0)
+        failed = [c.name for c in audit_report(inst, low) if not c.passed]
+        assert failed == ["lp-resolve"]
+
     def test_audit_flags_corrupted_cut(self, rng):
         inst = random_small_instance(rng)
         report = root_cut_loop(inst, loop_config=LoopConfig(max_rounds=10))
@@ -156,3 +167,52 @@ class TestGapInstances:
         inst = parse_gap(data)[0]
         with pytest.raises(InfeasibleRelaxationError):
             root_cut_loop(inst)
+
+
+def martello_toth_c(rng):
+    """(costs, resources, capacities) of one 5-agent, 20-job GAP instance of
+    Martello-Toth type C, drawn as the gap-assign benchmark draws it."""
+    costs = rng.integers(10, 51, size=(5, 20))
+    res = rng.integers(5, 26, size=(5, 20))
+    caps = np.floor(0.8 * res.sum(axis=1) / 5).astype(np.int64)
+    return costs, res, caps
+
+
+def highs_bound(instance, cut_pool) -> float:
+    problem = build_relaxation(instance)
+    rows = [a for a, _ in problem.rows] + [rec.alpha for rec in cut_pool]
+    rhs = [r for _, r in problem.rows] + [rec.beta for rec in cut_pool]
+    res = linprog(-problem.objective, A_ub=np.array(rows), b_ub=np.array(rhs),
+                  bounds=(0, 1), method="highs")
+    assert res.status == 0
+    return -float(res.fun)
+
+
+def test_gap_instance_that_made_the_primal_simplex_singular():
+    # the third type C instance of seed 601 ended "basis is singular" under
+    # the primal simplex with eta updates that the dual simplex replaced
+    rng = np.random.default_rng(601)
+    for _ in range(3):
+        costs, res, caps = martello_toth_c(rng)
+    lines = ["1", "5 20"] + [" ".join(map(str, r)) for r in (*costs, *res, caps)]
+    inst = parse_gap("\n".join(lines))[0]
+    E = np.stack([coeffs for coeffs, _ in inst.eq_rows]).astype(float)
+    optimum = milp(
+        -inst.profits.astype(float),
+        integrality=np.ones(inst.n),
+        bounds=(0, 1),
+        constraints=[
+            LinearConstraint(inst.weights.astype(float), -np.inf, inst.capacities),
+            LinearConstraint(E, 1.0, 1.0),
+        ],
+        options={"mip_rel_gap": 0.0},
+    )
+    assert optimum.status == 0
+    inst = dataclasses.replace(inst, known_optimum=round(-optimum.fun))
+
+    report = root_cut_loop(inst, FwConfig(max_iters=500))
+    assert report.loop_stop in ("no-cuts", "integral") and report.cuts_added > 0
+    checks = audit_report(inst, report)
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+    assert report.d_lp == pytest.approx(highs_bound(inst, ()), rel=1e-6)
+    assert report.d_r == pytest.approx(highs_bound(inst, report.cut_pool), rel=1e-6)

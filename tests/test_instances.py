@@ -27,6 +27,18 @@ class TestParseMknap:
     def test_empty_header(self):
         assert parse_mknap("0") == []
 
+    def test_negative_instance_count(self):
+        with pytest.raises(ParseError) as err:
+            parse_mknap("-3")
+        assert "instance count must be at least 0" in str(err.value)
+        assert err.value.token_offset == 0
+
+    def test_token_after_last_instance(self):
+        with pytest.raises(ParseError) as err:
+            parse_mknap("1  1 1 0  5  2  3  7 7 7")
+        assert "after the last instance" in str(err.value)
+        assert err.value.token_offset == 7
+
     def test_truncated_weights_name_the_field(self):
         with pytest.raises(ParseError) as err:
             parse_mknap("1  2 1 10  6 4  3")  # one weight token missing
@@ -130,6 +142,19 @@ class TestParseGap:
     def test_truncated_stream(self):
         with pytest.raises(ParseError):
             parse_gap("1  2 2  1 2 3 4  5 6 7")
+
+    def test_instance_count(self):
+        assert parse_gap("0") == []
+        with pytest.raises(ParseError) as err:
+            parse_gap("-1  1 1  4  2  3")
+        assert "instance count must be at least 0" in str(err.value)
+        assert err.value.token_offset == 0
+
+    def test_token_after_last_instance(self):
+        with pytest.raises(ParseError) as err:
+            parse_gap("1  1 2  5 7  2 3  5  9")
+        assert "after the last instance" in str(err.value)
+        assert err.value.token_offset == 8
 
 
 def test_load_gap_optima():

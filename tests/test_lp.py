@@ -111,6 +111,47 @@ class TestSimplex:
         )
         assert first.objective_value >= warm_sol.objective_value - 1e-9
 
+        # GAP shape: one knapsack row per agent and each job's equality as a
+        # row pair, then rounds of rows that cut off the last solution but
+        # keep a feasible point z (the cheapest assignment) feasible
+        agents, jobs = 3, 6
+        n = agents * jobs
+        c = rng.integers(10, 51, size=n).astype(float)
+        rows = []
+        for i in range(agents):
+            a = np.zeros(n)
+            a[i * jobs : (i + 1) * jobs] = rng.integers(5, 26, size=jobs)
+            rows.append((a, float(np.floor(0.5 * a.sum()))))
+        for j in range(jobs):
+            e = np.zeros(n)
+            e[j::jobs] = 1.0
+            rows += [(e, 1.0), (-e, -1.0)]
+
+        def highs(objective):
+            res = linprog(-objective, A_ub=np.array([a for a, _ in rows]),
+                          b_ub=np.array([r for _, r in rows]), bounds=(0, 1),
+                          method="highs")
+            assert res.status == 0
+            return -res.fun, res.x
+
+        _, z = highs(-c)
+        warm = SimplexSolver(LpProblem(c, tuple(rows)))
+        for round_no in range(4):
+            if round_no:
+                new = []
+                for _ in range(2):
+                    a = rng.uniform(0.0, 0.01, size=n) * (rng.random(n) < 0.6)
+                    cut_rhs = float(a @ warm_sol.x) - 0.05 * float(a.sum())
+                    new.append((a, max(float(a @ z), cut_rhs)))
+                rows += new
+                warm.add_rows(new)
+            warm_sol = warm.solve()
+            cold_sol = SimplexSolver(LpProblem(c, tuple(rows))).solve()
+            best, _ = highs(c)
+            assert warm_sol.status == cold_sol.status == "optimal"
+            assert warm_sol.objective_value == pytest.approx(best, rel=1e-9)
+            assert cold_sol.objective_value == pytest.approx(best, rel=1e-9)
+
     def test_valid_cut_never_raises_bound(self, rng):
         c = np.array([6.0, 4.0])
         rows = ((np.array([3.0, 5.0]), 7.0),)
