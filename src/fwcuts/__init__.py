@@ -7,7 +7,6 @@ multidimensional knapsack and assignment instances.
 """
 
 from .errors import (
-    ActiveSetConsistencyError,
     DimensionMismatchError,
     EnumerationCapacityError,
     FwcutsError,
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .instances import MkpInstance, load_gap_optima, parse_gap, parse_mknap
 from .lifting import LiftedCut, lift_cut
-from .lp import LpProblem, LpSolution, MembershipResult, SimplexSolver, membership_test
+from .lp import LpProblem, LpSolution, SimplexSolver
 from .oracles import (
     EnumerationOracle,
     KnapsackOracle,
@@ -32,7 +31,6 @@ from .oracles import (
     reduce_row,
 )
 from .separation import (
-    ActiveSet,
     Cut,
     FwConfig,
     Membership,
@@ -43,7 +41,7 @@ from .separation import (
     early_stop_check,
     fw_gap,
     iteration_bound,
-    separate_lazy_afw,
+    separate_min_norm_point,
     separate_vanilla,
 )
 from .driver import LoopConfig, RootRunReport, gap_closed, root_cut_loop

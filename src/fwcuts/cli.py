@@ -10,7 +10,8 @@ Exit codes: `separate` uses 0 = separated, 1 = membership (or undecided),
 3 = an audit check failed (its names go to stderr, in JSON and CSV mode alike).
 
 `--max-iters` is the separator's only setting; `separate --vanilla` swaps
-the production solver for the plain one with agnostic steps.
+the production solver, Wolfe's min-norm-point method, for plain conditional
+gradients with agnostic steps.
 
 File formats are whitespace-separated numbers throughout:
   point file      k floats
@@ -39,7 +40,7 @@ from .separation import (
     FwConfig,
     Membership,
     Separated,
-    separate_lazy_afw,
+    separate_min_norm_point,
     separate_vanilla,
 )
 
@@ -99,7 +100,7 @@ def cmd_separate(args) -> int:
     if len(point) != k:
         raise FwcutsError(f"point has dimension {len(point)}, knapsack has {k} items")
     sub = KnapsackSubproblem.plain(weights, cap)
-    separate = separate_vanilla if args.vanilla else separate_lazy_afw
+    separate = separate_vanilla if args.vanilla else separate_min_norm_point
     outcome = separate(point, KnapsackOracle(sub), FwConfig(max_iters=args.max_iters))
 
     payload = {
@@ -261,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument(
         "--vanilla",
         action="store_true",
-        help="plain conditional gradients without away steps or an active set",
+        help="plain conditional gradients with the step 2/(t+2) instead of "
+        "Wolfe's min-norm-point method",
     )
     p_sep.set_defaults(func=cmd_separate)
 

@@ -1,11 +1,14 @@
 """Root-node cutting-plane loop for knapsack-structured 0/1 programs.
 
 Each round solves the relaxation, reduces every knapsack row onto the
-fractional support of the solution, separates the reduced point with the
-lazy away-step solver, lifts any cut back to the full row, and appends the
-cuts that are violated by at least the acceptance threshold and are not
-near-duplicates of pooled cuts.  The loop stops when the relaxation solution
-is integral, a round adds no cut, or the round budget is exhausted.
+fractional support of the solution, separates the reduced point with
+Wolfe's min-norm-point method, lifts any cut back to the full row, and
+appends the cuts that are violated by at least the acceptance threshold and
+are not near-duplicates of pooled cuts.  The loop stops when the relaxation
+solution is integral, when a round adds no cut, or when the round budget is
+exhausted.  A round that adds no cut ends the loop with `undecided` when
+some row's separation ran out of iterations without a verdict, since more
+iterations might have found a cut there, and with `no-cuts` otherwise.
 
 Assignment equalities (for GAP-style instances) enter the relaxation as
 pairs of inequalities but are never separated.
@@ -23,11 +26,17 @@ from .instances import MkpInstance
 from .lifting import lift_cut
 from .lp import STATUS_OPTIMAL, LpProblem, SimplexSolver, solve_from_scratch
 from .oracles import INTEGRALITY_TOL, KnapsackOracle, reduce_row
-from .separation import FwConfig, separate_lazy_afw
+from .separation import FwConfig, Undecided, separate_min_norm_point
 
 STOP_INTEGRAL = "integral"
 STOP_NO_CUTS = "no-cuts"
+STOP_UNDECIDED = "undecided"
 STOP_ROUND_LIMIT = "round-limit"
+
+# The benchmark (perfbench/worker.py, perfbench/tracing.py) calls and wraps
+# the separator under this name, so `_separate_one_row` calls it through the
+# name: a direct call would bypass the benchmark's timing and trace hooks.
+separate_lazy_afw = separate_min_norm_point
 
 # absolute slack allowed between a cut's right-hand side and the exact
 # maximum of its left-hand side over the integer points of its row
@@ -133,18 +142,17 @@ class _CutPool:
 def _separate_one_row(instance, row, x, fw_config, timings):
     """Reduce one knapsack row against x and try to cut x off.
 
-    Returns (attempted, stop_reason, lifted) where lifted is the LiftedCut,
-    valid for this row, or None.  Time spent lifting is added to
-    timings["lifting_s"].  Raises InvalidCutError when the lifted cut cuts
-    off an integer point of the row.
+    Returns (outcome, lifted): the SeparationOutcome, or None when the
+    reduced point is empty, and the LiftedCut, valid for this row, or None.
+    Time spent lifting is added to timings["lifting_s"].  Raises
+    InvalidCutError when the lifted cut cuts off an integer point of the row.
     """
     sub, target = reduce_row(instance.weights[row], int(instance.capacities[row]), x)
     if sub.size == 0:
-        return False, None, None
+        return None, None
     outcome = separate_lazy_afw(target, KnapsackOracle(sub), fw_config)
-    reason = outcome.stats.stop_reason
     if not outcome.is_separated:
-        return True, reason, None
+        return outcome, None
     t0 = time.perf_counter()
     lifted = lift_cut(outcome.cut, sub)
     timings["lifting_s"] += time.perf_counter() - t0
@@ -153,7 +161,7 @@ def _separate_one_row(instance, row, x, fw_config, timings):
             f"row {row}: lifted cut reaches {lifted.row_max!r} at an integer point "
             f"of the row, above its right-hand side {lifted.beta_full!r}"
         )
-    return True, reason, lifted
+    return outcome, lifted
 
 
 def root_cut_loop(
@@ -199,11 +207,14 @@ def root_cut_loop(
         timings["separation_s"] += time.perf_counter() - t0
 
         new_records = []
-        for row, (attempted, reason, lifted) in enumerate(results):
-            if not attempted:
+        undecided = False
+        for row, (outcome, lifted) in enumerate(results):
+            if outcome is None:
                 continue
             separation_calls += 1
+            reason = outcome.stats.stop_reason
             stop_reason_counts[reason] = stop_reason_counts.get(reason, 0) + 1
+            undecided |= isinstance(outcome.result, Undecided)
             if lifted is None:
                 continue
             alpha_full, beta = lifted.alpha_full, lifted.beta_full
@@ -217,7 +228,7 @@ def root_cut_loop(
             new_records.append(record)
 
         if not new_records:
-            loop_stop = STOP_NO_CUTS
+            loop_stop = STOP_UNDECIDED if undecided else STOP_NO_CUTS
             break
 
         solver.add_rows([(rec.alpha, rec.beta) for rec in new_records])

@@ -25,10 +25,6 @@ class UndefinedBoundError(FwcutsError, ValueError):
     """Iteration bound requested for a point at distance zero."""
 
 
-class ActiveSetConsistencyError(FwcutsError, RuntimeError):
-    """The active-set weights drifted off the unit simplex; implementation bug."""
-
-
 class NumericalInstabilityError(FwcutsError, RuntimeError):
     """The dual simplex met a singular basis or reached its iteration limit.
 

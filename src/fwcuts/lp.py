@@ -1,4 +1,4 @@
-"""Dense bounded dual simplex and a convex-hull membership test.
+"""Dense bounded dual simplex.
 
 The solver handles exactly the shape the cutting-plane driver needs:
 maximize <c, x> over rows <a_i, x> <= b_i with every structural variable in
@@ -28,7 +28,6 @@ may run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -172,40 +171,3 @@ def solve_from_scratch(problem: LpProblem) -> LpSolution:
     no step of a cut loop.  It skips `SimplexSolver.solve`, the loop's LP
     step, which the benchmark's trace hooks and times as loop work."""
     return SimplexSolver(problem)._dual_simplex()
-
-
-class MembershipResult(NamedTuple):
-    inside: bool
-    distance_lb: float
-
-
-def membership_test(point, vertices) -> MembershipResult:
-    """Exact test whether `point` lies in the convex hull of `vertices`.
-
-    Minimizes the max-norm deviation ||point - V' lambda||_inf over the
-    simplex via an LP; the optimum is 0 iff the point is inside (within 1e-7)
-    and otherwise lower-bounds the Euclidean distance to the hull.
-    """
-    V = np.asarray(vertices, dtype=np.float64)
-    if V.ndim != 2 or len(V) == 0:
-        raise ValueError("vertices must be a nonempty matrix")
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (V.shape[1],):
-        raise DimensionMismatchError("point dimension differs from the vertices")
-    nv, k = V.shape
-    U = max(1.0, float(np.max(np.abs(p))) + 1.0)  # scale so t lives in [0,1]
-    nvar = nv + 1  # simplex weights plus the scaled deviation bound t
-    c = np.zeros(nvar)
-    c[-1] = -U
-    rows = []
-    for i in range(k):
-        rows.append((np.concatenate([V[:, i], [-U]]), float(p[i])))
-        rows.append((np.concatenate([-V[:, i], [-U]]), -float(p[i])))
-    ones = np.concatenate([np.ones(nv), [0.0]])
-    rows.append((ones, 1.0))
-    rows.append((-ones, -1.0))
-    sol = solve_from_scratch(LpProblem(c, tuple(rows)))
-    if sol.status != STATUS_OPTIMAL:
-        raise NumericalInstabilityError(f"membership LP ended {sol.status}")
-    t = max(-sol.objective_value, 0.0)
-    return MembershipResult(inside=t <= 1e-7, distance_lb=t)

@@ -2,17 +2,20 @@
 
 Reference computations here are deliberately independent of the package
 internals they are used to check: brute force enumerates {0,1}^k directly,
-and the hull projection is a min-norm-point active-set iteration whose result
-is certified a posteriori (feasible convex weights plus the variational
-inequality over every vertex), so its correctness does not depend on the
-solver under test.
+the membership test is an LP solved by scipy's HiGHS, not by the package's
+simplex, and the hull projection is a min-norm-point active-set iteration
+whose result is certified a posteriori (feasible convex weights plus the
+variational inequality over every vertex), so its correctness does not
+depend on the solver under test.
 """
 
 import dataclasses
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from fwcuts.instances import MkpInstance
 from fwcuts.oracles import KnapsackSubproblem, knapsack_dp_max
@@ -195,6 +198,35 @@ def hull_projection(point, vertices, tol=1e-12, max_rounds=500):
     vi = float(np.max((x - point) @ (x[None, :] - V).T))
     assert vi <= 1e-8, f"projection not certified: variational inequality {vi}"
     return x, float(np.linalg.norm(point - x))
+
+
+class MembershipResult(NamedTuple):
+    inside: bool
+    distance_lb: float
+
+
+def membership_test(point, vertices) -> MembershipResult:
+    """Exact test whether `point` lies in the convex hull of `vertices`.
+
+    Minimizes the max-norm deviation t = ||point - V' lambda||_inf over the
+    simplex with `scipy.optimize.linprog`; the optimum is 0 iff the point is
+    inside (within 1e-7) and otherwise lower-bounds the Euclidean distance to
+    the hull.
+    """
+    V = np.asarray(vertices, dtype=np.float64)
+    p = np.asarray(point, dtype=np.float64)
+    nv, k = V.shape
+    # variables (lambda, t): -t <= p - V' lambda <= t, sum(lambda) = 1
+    c = np.zeros(nv + 1)
+    c[-1] = 1.0
+    ones = np.ones((k, 1))
+    A_ub = np.block([[V.T, -ones], [-V.T, -ones]])
+    b_ub = np.concatenate([p, -p])
+    A_eq = np.concatenate([np.ones(nv), [0.0]])[None, :]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    t = max(float(res.fun), 0.0)
+    return MembershipResult(inside=t <= 1e-7, distance_lb=t)
 
 
 def squared_diameter(points: np.ndarray) -> float:

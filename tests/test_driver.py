@@ -103,12 +103,24 @@ class TestRootLoop:
                 assert 0.0 < t["lifting_s"] <= t["separation_s"]
         assert lifted > 0
 
+    def test_round_without_cuts_and_with_undecided_rows_stops_undecided(self, rng):
+        # one major cycle decides few rows; a loop that then finds no cut
+        # says that rows were left undecided, while a full budget decides
+        # every row and ends with no-cuts
+        inst = random_small_instance(rng)
+        short = root_cut_loop(inst, FwConfig(max_iters=1))
+        assert short.loop_stop == "undecided"
+        assert short.stop_reason_counts["iteration-limit"] > 0
+        full = root_cut_loop(inst, FwConfig(max_iters=500))
+        assert full.loop_stop == "no-cuts"
+        assert "iteration-limit" not in full.stop_reason_counts
+
     def test_invalid_lifted_cut_raises_before_reaching_the_lp(self, rng, monkeypatch):
         # sum(x) <= -1 cuts off the origin of every reduced knapsack, and
         # lifting keeps a reduced cut invalid
         def invalid_cut(target, oracle, config=None):
             cut = Cut(np.ones(len(target)), -1.0, float(np.sum(target)) + 1.0, "early-stop")
-            stats = SeparationStats(0, 1, 0, 0, 0, "early-criterion", 0.0)
+            stats = SeparationStats(0, 1, 0, 0, "early-criterion", 0.0)
             return SeparationOutcome(Separated(cut), stats)
 
         lp_rows_added = []

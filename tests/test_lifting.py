@@ -5,7 +5,7 @@ import fwcuts.driver as driver
 from fwcuts.driver import LoopConfig, root_cut_loop
 from fwcuts.lifting import lift_cut
 from fwcuts.oracles import KnapsackOracle, KnapsackSubproblem, knapsack_dp_max, reduce_row
-from fwcuts.separation import Cut, FwConfig, separate_lazy_afw
+from fwcuts.separation import Cut, FwConfig, separate_min_norm_point
 
 from conftest import MICROBENCH_SEED, cb_style_instance, feasible_points, reference_lift_cut
 
@@ -58,7 +58,7 @@ def _random_pipeline_case(rng, n_max=14):
     sub, target = reduce_row(w, cap, x)
     if sub.size == 0:
         return None
-    outcome = separate_lazy_afw(target, KnapsackOracle(sub))
+    outcome = separate_min_norm_point(target, KnapsackOracle(sub))
     if not outcome.is_separated:
         return None
     return w, cap, x, sub, target, outcome.cut

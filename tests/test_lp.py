@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fwcuts.lp import LpProblem, SimplexSolver, membership_test
+from fwcuts.lp import LpProblem, SimplexSolver
 
-from conftest import feasible_points
+from conftest import feasible_points, membership_test
 
 
 def brute_force_lp_max(c, rows):

@@ -3,9 +3,10 @@ its time in: the knapsack DP, one separation call, lifting, and one LP solve.
 
 The DP, lifting and LP inputs come from a seeded Chu-Beasley-style instance
 (n=30, m=5, tightness 0.25, the shape of the benchmark's mkp-cb workload);
-the separation call is a seeded single-row problem that runs to the
-iteration limit.  Each benchmark runs a few fixed rounds so that the suite
-stays fast; compare two versions with
+the separation call is the root loop's separator on the seeded single-row
+problem that takes the most major cycles among seeds 0-9.  Each benchmark
+runs a few fixed rounds so that the suite stays fast; compare two versions
+with
 `pytest tests/test_microbench.py --benchmark-autosave` on one and
 `--benchmark-compare` on the other.  Each benchmark also checks its result,
 so a benchmark that times a wrong answer fails.
@@ -14,11 +15,12 @@ so a benchmark that times a wrong answer fails.
 import numpy as np
 import pytest
 
+from fwcuts import driver
 from fwcuts.driver import build_relaxation
 from fwcuts.lifting import lift_cut
 from fwcuts.lp import STATUS_OPTIMAL, SimplexSolver
 from fwcuts.oracles import KnapsackOracle, KnapsackSubproblem, knapsack_dp_max, reduce_row
-from fwcuts.separation import FwConfig, separate_lazy_afw
+from fwcuts.separation import FwConfig, separate_min_norm_point
 
 from conftest import MICROBENCH_SEED, cb_style_instance, single_row_problem
 
@@ -39,7 +41,7 @@ def row_cut(instance):
         sub, target = reduce_row(instance.weights[row], int(instance.capacities[row]), x)
         if sub.size == 0:
             continue
-        outcome = separate_lazy_afw(target, KnapsackOracle(sub), FwConfig(max_iters=500))
+        outcome = separate_min_norm_point(target, KnapsackOracle(sub), FwConfig(max_iters=500))
         if outcome.is_separated:
             return sub, outcome.cut
     pytest.fail("no row of the benchmark instance yields a cut")
@@ -58,10 +60,11 @@ def test_knapsack_dp_max(benchmark, instance):
 
 
 def test_separate_lazy_afw_500_iterations(benchmark):
-    w, cap, target = single_row_problem(2)  # runs to the iteration limit
+    # the name under which the root loop calls its separator
+    w, cap, target = single_row_problem(7)
     oracle = KnapsackOracle(KnapsackSubproblem.plain(w, cap))
-    outcome = _run(benchmark, separate_lazy_afw, target, oracle, FwConfig(max_iters=500))
-    assert outcome.stats.stop_reason == "iteration-limit"
+    outcome = _run(benchmark, driver.separate_lazy_afw, target, oracle, FwConfig(max_iters=500))
+    assert outcome.stats.stop_reason == "early-criterion"
 
 
 def test_lift_cut(benchmark, row_cut):
